@@ -24,7 +24,9 @@ from .constructions import (
     CATALOG_IDS,
     construct,
     coppersmith_winograd,
+    matmul,
     not_tight_compressible_4,
+    oblique_not_tight_4,
     t_std,
     tight_max_support,
     free_max_support,
@@ -350,7 +352,18 @@ def _cmd_reproduce(args) -> dict:
         s, _ = tight_max_support(m)
         ann_ok = ann_ok and annihilator(generic_tensor_on(s, rng)).annihilator_dim == 1
         ann_ok = ann_ok and annihilator(t_std(m)).annihilator_dim == 0
-    checks.append(_check("annihilator dimensions of catalog tensors", ann_ok, {}))
+    for t in (oblique_not_tight_4(), not_tight_compressible_4()):
+        ann_ok = ann_ok and annihilator(t).annihilator_dim == 0
+    # 9 = 3(n^2 - 1) at n = 2, the value acceptance criterion 3 asserts
+    matmul2_dim = annihilator(matmul(2)).annihilator_dim
+    ann_ok = ann_ok and matmul2_dim == 9
+    checks.append(
+        _check(
+            "annihilator dimensions of catalog tensors",
+            ann_ok,
+            {"matmul2_dim": matmul2_dim, "matmul2_expected": 9},
+        )
+    )
 
     return {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 Triple = tuple[int, int, int]
@@ -61,9 +62,13 @@ class Support:
         return len(self.triples)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in set(self.triples)
+        return t in self.as_set()
 
     def as_set(self) -> frozenset[Triple]:
+        return self._members
+
+    @cached_property
+    def _members(self) -> frozenset[Triple]:
         return frozenset(self.triples)
 
 

@@ -14,7 +14,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Literal, Optional
 
 from . import linalg
@@ -163,15 +162,7 @@ def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
                 break
             n += 1
 
-    denom_lcm = 1
-    for v in chosen:
-        denom_lcm = denom_lcm // gcd(denom_lcm, v.denominator) * v.denominator
-    ints = [int(v * denom_lcm) for v in chosen]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
+    ints = linalg.integerize(chosen)
     (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = _axis_slices(s.shape)
     witness = TightWitness(
         tuple(ints[lo_a:hi_a]), tuple(ints[lo_b:hi_b]), tuple(ints[lo_c:hi_c])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Literal, Optional
 
 from . import linalg
@@ -42,21 +42,34 @@ class LieSolveReport:
 
 def lie_apply(elem: LieElement, t: Tensor) -> Tensor:
     """Leibniz action: sum of the three one-factor actions on every entry."""
-    a, b, c = t.shape
-    out: dict[Triple, Fraction] = {}
-
-    def add(key: Triple, val: Fraction) -> None:
-        if val:
-            out[key] = out.get(key, Fraction(0)) + val
-
-    for (i, j, k), v in t.entries.items():
-        for i2 in range(a):
-            add((i2, j, k), elem.x[i2][i] * v)
-        for j2 in range(b):
-            add((i, j2, k), elem.y[j2][j] * v)
-        for k2 in range(c):
-            add((i, j, k2), elem.z[k2][k] * v)
-    return Tensor(t.shape, out)
+    # integers throughout: the matrices are scaled by their common denominator
+    # dm and the tensor by dt.  cx[u] lists the nonzero (v, dm * x[v][u]) of
+    # column u of x, and likewise cy and cz, so zero entries cost nothing.
+    mats = elem.matrices()
+    dm = lcm(*(v.denominator for m in mats for row in m for v in row))
+    dt = lcm(*(v.denominator for v in t.entries.values()))
+    cx, cy, cz = (
+        [
+            [(v, m[v][u].numerator * (dm // m[v][u].denominator)) for v in range(len(m)) if m[v][u]]
+            for u in range(len(m))
+        ]
+        for m in mats
+    )
+    out: dict[Triple, int] = {}
+    get = out.get
+    for (i, j, k), val in t.entries.items():
+        n = val.numerator * (dt // val.denominator)
+        for i2, w in cx[i]:
+            key = (i2, j, k)
+            out[key] = get(key, 0) + w * n
+        for j2, w in cy[j]:
+            key = (i, j2, k)
+            out[key] = get(key, 0) + w * n
+        for k2, w in cz[k]:
+            key = (i, j, k2)
+            out[key] = get(key, 0) + w * n
+    scale = dm * dt
+    return Tensor(t.shape, {key: Fraction(s, scale) for key, s in out.items() if s})
 
 
 def _action_rows(t: Tensor) -> tuple[list[linalg.SparseRow], int]:
@@ -134,18 +147,9 @@ def _distinct(vals: tuple[Fraction, ...]) -> bool:
 def _scale_to_integers(
     tau: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
 ) -> TightWitness:
-    lcm = 1
-    for axis in tau:
-        for v in axis:
-            lcm = lcm // gcd(lcm, v.denominator) * v.denominator
-    ints = [[int(v * lcm) for v in axis] for axis in tau]
-    g = 0
-    for axis in ints:
-        for v in axis:
-            g = gcd(g, v)
-    if g > 1:
-        ints = [[v // g for v in axis] for axis in ints]
-    return TightWitness(tuple(ints[0]), tuple(ints[1]), tuple(ints[2]))
+    ints = linalg.integerize([v for axis in tau for v in axis])
+    a, b = len(tau[0]), len(tau[0]) + len(tau[1])
+    return TightWitness(tuple(ints[:a]), tuple(ints[a:b]), tuple(ints[b:]))
 
 
 def has_regular_semisimple(report: LieSolveReport) -> TightEvidence:

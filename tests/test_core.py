@@ -33,6 +33,11 @@ def test_shape_rejects_nonpositive():
 def test_support_canonicalizes_and_validates():
     s = Support(Shape(2, 2, 2), ((1, 1, 1), (0, 0, 0), (1, 1, 1)))
     assert s.triples == ((0, 0, 0), (1, 1, 1))
+    assert (1, 1, 1) in s and (0, 1, 1) not in s
+    # the member set is built once, and caching it leaves equality and hashing alone
+    assert s.as_set() is s.as_set() == frozenset(s.triples)
+    twin = Support(Shape(2, 2, 2), ((0, 0, 0), (1, 1, 1)))
+    assert s == twin and hash(s) == hash(twin)
     with pytest.raises(ShapeError):
         Support(Shape(2, 2, 2), ((0, 0, 2),))
 

@@ -13,8 +13,13 @@ from trisupport.constructions import (
     t_std,
     tight_max_support,
 )
-from trisupport.core import AxisPermutations, Shape, Support, direct_sum
-from trisupport.sampling import generic_tensor_on, random_concise_tensor, random_support
+from trisupport.core import AxisPermutations, Shape, Support, Tensor, direct_sum, kronecker
+from trisupport.sampling import (
+    generic_tensor_on,
+    random_concise_support,
+    random_concise_tensor,
+    random_support,
+)
 from trisupport.symmetry import (
     LieElement,
     LieSolveReport,
@@ -74,6 +79,23 @@ def test_annihilator_matmul2():
         want = 3 * (n * n - 1)
         assert oracle_annihilator_dim(matmul(n)) == want
         assert annihilator(matmul(n)).annihilator_dim == want
+
+
+def _small_concise_tensor(rng, shape):
+    # coefficients in +-1..3 keep the dense oracle's Fractions small
+    while True:
+        s = random_concise_support(rng, Shape(*shape), 0.6)
+        t = Tensor(s.shape, {tr: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for tr in s.triples})
+        if is_concise_tensor(t):
+            return t
+
+
+@pytest.mark.parametrize("shapes", [((2, 3, 3), (2, 3, 3)), ((2, 3, 3), (3, 3, 3)), ((3, 3, 3), (3, 3, 3))])
+def test_annihilator_matches_oracle_on_sums_and_products(shapes):
+    rng = random.Random(29)
+    t1, t2 = (_small_concise_tensor(rng, shape) for shape in shapes)
+    for t in (direct_sum(t1, t2), kronecker(t1, t2)):
+        assert annihilator(t).annihilator_dim == oracle_annihilator_dim(t)
 
 
 def test_annihilator_invariances():
