@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .arrangement import build_arrangement, joint_free_subarrangement, joints, render_svg
-from .compress import find_zero_box, multicompressibility, slice_cover, total_compressibility
+from .compress import find_zero_box, multicompressibility, slice_cover, size_splits, total_compressibility
 from .constructions import (
     CATALOG_IDS,
     construct,
@@ -333,8 +333,14 @@ def _cmd_reproduce(args) -> dict:
     for _ in range(100):
         shp = Shape(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4))
         s = random_support(rng, shp, rng.uniform(0.15, 0.8))
-        kappa, _box = total_compressibility(s)
-        duality_ok = duality_ok and slice_cover(s).size + kappa == shp.a + shp.b + shp.c
+        kappa, box = total_compressibility(s)
+        # the other engine confirms the box, and by monotonicity that no larger one exists
+        duality_ok = (
+            duality_ok
+            and slice_cover(s).size + kappa == shp.a + shp.b + shp.c
+            and find_zero_box(s, *box.dims()) is not None
+            and all(find_zero_box(s, *sp) is None for sp in size_splits(shp, kappa + 1))
+        )
     checks.append(_check("compressibility: boxes, multicompressibility bounds, cover duality", comp_ok and duality_ok, {}))
 
     prop_ok = True

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import linalg
-from .core import Support, Tensor
+from .core import Shape, Support, Tensor
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
     for want, have in zip(targets, dims):
         if not 0 <= want <= have:
             raise ValueError(f"requested box {targets} exceeds shape {dims}")
-
-    if 0 in targets:
-        # a zero-dimensional factor makes the box empty, hence trivially disjoint
-        sets: list[tuple[int, ...]] = []
-        for want in targets:
-            sets.append(tuple(range(want)))
-        return ZeroBox(*sets)
 
     order = sorted(range(3), key=lambda d: (targets[d], d))
     d0, d1, d2 = order
@@ -152,46 +145,39 @@ def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
     return box
 
 
+def size_splits(shape: Shape, total: int) -> Iterator[tuple[int, int, int]]:
+    """Every in-range box size (a', b', c') with a' + b' + c' = total."""
+    a, b, c = shape
+    for a1 in range(min(a, total) + 1):
+        for b1 in range(max(0, total - a1 - c), min(b, total - a1) + 1):
+            yield a1, b1, total - a1 - b1
+
+
 def total_compressibility(s: Support) -> tuple[int, ZeroBox]:
-    """Largest a'+b'+c' admitting a zero box (coordinate notion)."""
-    a, b, c = s.shape
-    for total in range(a + b + c, -1, -1):
-        for a1 in range(min(a, total), -1, -1):
-            rem = total - a1
-            for b1 in range(min(b, rem), -1, -1):
-                c1 = rem - b1
-                if c1 > c:
-                    continue
-                box = find_zero_box(s, a1, b1, c1)
-                if box is not None:
-                    return total, box
-    raise AssertionError("internal: the empty box always exists")
+    """Largest a'+b'+c' admitting a zero box (coordinate notion).
+
+    A box I x J x K misses the support exactly when the slices outside I, J
+    and K cover it, so the complement of a minimum slice cover is a largest
+    zero box.
+    """
+    cover = set(slice_cover(s).slices)
+    box = ZeroBox(
+        *(tuple(v for v in range(n) if (axis, v) not in cover) for axis, n in enumerate(s.shape))
+    )
+    if not box.avoids(s):
+        raise AssertionError("internal: complement of a cover meets the support")
+    return sum(box.dims()), box
 
 
 def multicompressibility(s: Support) -> int:
     """Largest r such that every in-range size split (a', b', c') with
     a'+b'+c' = r admits a zero box.  Splits are monotone, so r is scanned
     upward until some split fails."""
-    a, b, c = s.shape
     best = 0
-    for total in range(1, a + b + c + 1):
-        ok = True
-        for a1 in range(min(a, total) + 1):
-            rem = total - a1
-            if rem > b + c:
-                continue
-            for b1 in range(min(b, rem) + 1):
-                c1 = rem - b1
-                if c1 > c:
-                    continue
-                if find_zero_box(s, a1, b1, c1) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-        best = total
+    while best < sum(s.shape) and all(
+        find_zero_box(s, *sp) is not None for sp in size_splits(s.shape, best + 1)
+    ):
+        best += 1
     return best
 
 

@@ -8,6 +8,7 @@ coefficients are `fractions.Fraction` with arbitrary-precision integers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,7 @@ class Shape:
 
     def __post_init__(self) -> None:
         for n in (self.a, self.b, self.c):
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ShapeError(f"shape entries must be positive integers, got {self}")
 
     def __iter__(self):
@@ -220,8 +221,23 @@ def _format_fraction(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+_COEF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_fraction(text: object) -> Fraction:
+    if not isinstance(text, str) or not _COEF.fullmatch(text):
+        raise ValueError(f"coefficient must be a string p or p/q, got {text!r}")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"coefficient {text!r} has a zero denominator")
+    return Fraction(int(num), int(den or 1))
+
+
+def _parse_triple(value: object, what: str) -> Triple:
+    # bool is an int subclass and float would truncate, so both are refused
+    if not (isinstance(value, list) and len(value) == 3 and all(type(v) is int for v in value)):
+        raise ValueError(f"{what} must be a list of three integers, got {value!r}")
+    return (value[0], value[1], value[2])
 
 
 def tensor_to_obj(t: Tensor) -> dict:
@@ -237,18 +253,26 @@ def support_to_obj(s: Support) -> dict:
     return {"shape": list(s.shape), "entries": [{"idx": list(t)} for t in s.triples]}
 
 
-def obj_to_tensor(obj: dict) -> Tensor:
-    shape = Shape(*obj["shape"])
-    entries = {}
-    for e in obj["entries"]:
-        i, j, k = e["idx"]
-        entries[(i, j, k)] = _parse_fraction(e.get("coef", "1/1"))
+def obj_to_tensor(obj: object) -> Tensor:
+    """Parse a document, refusing anything outside the schema with ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"document must be a JSON object, got {type(obj).__name__}")
+    items = obj.get("entries")
+    if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
+        raise ValueError("entries must be a list of objects")
+    shape = Shape(*_parse_triple(obj.get("shape"), "shape"))
+    entries: dict[Triple, Fraction] = {}
+    for e in items:
+        idx = _parse_triple(e.get("idx"), "idx")
+        if idx in entries:
+            raise ValueError(f"duplicate idx {list(idx)}")
+        entries[idx] = _parse_fraction(e.get("coef", "1/1"))
     return Tensor(shape, entries)
 
 
-def obj_to_support(obj: dict) -> Support:
-    shape = Shape(*obj["shape"])
-    return Support(shape, tuple(tuple(e["idx"]) for e in obj["entries"]))
+def obj_to_support(obj: object) -> Support:
+    """The support of the parsed tensor: entries with coefficient 0 drop out."""
+    return obj_to_tensor(obj).support()
 
 
 def tensor_to_json(t: Tensor) -> str:
@@ -265,5 +289,4 @@ def tensor_from_json(text: str) -> Tensor:
 
 def support_from_json(text: str) -> Support:
     """Parse either a tensor or a pure support document as a Support."""
-    obj = json.loads(text)
-    return obj_to_support(obj)
+    return obj_to_support(json.loads(text))

@@ -11,9 +11,7 @@ search over axis orders; freeness is a pairwise scan.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional
 
 from . import linalg
@@ -114,59 +112,15 @@ def _axis_slices(shape: Shape) -> tuple[tuple[int, int], ...]:
 def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
     """Return a verified witness if the support is tight, else None.
 
-    The witness is an integer combination of exact nullspace basis vectors;
-    injectivity is generic, so a seeded random combination is tried first and
-    a guaranteed polynomial-coefficient sweep is used as fallback.
+    The witness is an injective integer combination of exact nullspace basis
+    vectors (`linalg.injective_combination`).
     """
     rows, ncols = _incidence_rows(s)
-    basis = linalg.nullspace(rows, ncols)
-
-    for lo, hi in _axis_slices(s.shape):
-        for i in range(lo, hi):
-            for i2 in range(i + 1, hi):
-                if all(vec[i] == vec[i2] for vec in basis):
-                    return None
-
-    def combine(coeffs: list[int]) -> list[Fraction]:
-        vec = [Fraction(0)] * ncols
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                for idx in range(ncols):
-                    vec[idx] += c * bvec[idx]
-        return vec
-
-    def injective(vec: list[Fraction]) -> bool:
-        for lo, hi in _axis_slices(s.shape):
-            vals = vec[lo:hi]
-            if len(set(vals)) != len(vals):
-                return False
-        return True
-
-    d = len(basis)
-    rng = random.Random(seed)
-    chosen: Optional[list[Fraction]] = None
-    for _ in range(64):
-        vec = combine([rng.randint(-16, 16) for _ in range(d)])
-        if injective(vec):
-            chosen = vec
-            break
-    if chosen is None:
-        # coefficients (1, n, n^2, ...): each difference functional is a nonzero
-        # polynomial in n of degree < d, so some n below pairs*(d-1)+2 works
-        pairs = sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in _axis_slices(s.shape))
-        n = pairs + 1
-        while True:
-            vec = combine([n**t for t in range(d)])
-            if injective(vec):
-                chosen = vec
-                break
-            n += 1
-
-    ints = linalg.integerize(chosen)
-    (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = _axis_slices(s.shape)
-    witness = TightWitness(
-        tuple(ints[lo_a:hi_a]), tuple(ints[lo_b:hi_b]), tuple(ints[lo_c:hi_c])
-    )
+    blocks = _axis_slices(s.shape)
+    ints = linalg.injective_combination(linalg.nullspace(rows, ncols), blocks, seed)
+    if ints is None:
+        return None
+    witness = TightWitness(*(ints[lo:hi] for lo, hi in blocks))
     if not witness.certifies(s):
         raise AssertionError("internal: extracted weighting failed verification")
     return witness

@@ -33,10 +33,11 @@ moderate.  It serves `rank`, the fallback and the tests' reference.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 SparseRow = dict[int, int]
 
@@ -360,3 +361,46 @@ def nullspace(rows: Iterable[SparseRow], ncols: int) -> list[list[Fraction]]:
     rows = list(rows)
     basis = modular_nullspace(rows, ncols)
     return basis if basis is not None else Echelon(rows, ncols).nullspace()
+
+
+def injective_combination(
+    vectors: Sequence[Sequence[Fraction]], blocks: Sequence[tuple[int, int]], seed: int = 0
+) -> Optional[list[int]]:
+    """An integer combination of `vectors` whose entries are pairwise distinct
+    within each block, as a primitive integer vector, or None when some pair
+    of entries in a block agrees on every vector.  The blocks are consecutive
+    ranges [lo, hi) that partition the entries.
+
+    Otherwise injectivity is generic on the span, so 64 seeded random
+    combinations are tried first.  The fallback (1, n, n^2, ...) sweep ends:
+    each entry difference is a nonzero polynomial in n of degree below
+    len(vectors), so some n below pairs * (len(vectors) - 1) + 2 works.
+    """
+    for lo, hi in blocks:
+        for i in range(lo, hi):
+            for i2 in range(i + 1, hi):
+                if all(vec[i] == vec[i2] for vec in vectors):
+                    return None
+    width = blocks[-1][1] if blocks else 0
+
+    def combine(coeffs: list[int]) -> Optional[list[int]]:
+        vec = [_ZERO] * width
+        for c, bvec in zip(coeffs, vectors):
+            if c:
+                for idx in range(width):
+                    vec[idx] += c * bvec[idx]
+        for lo, hi in blocks:
+            if len(set(vec[lo:hi])) != hi - lo:
+                return None
+        return integerize(vec)
+
+    d = len(vectors)
+    rng = random.Random(seed)
+    for _ in range(64):
+        found = combine([rng.randint(-16, 16) for _ in range(d)])
+        if found is not None:
+            return found
+    n = sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in blocks) + 1
+    while (found := combine([n**t for t in range(d)])) is None:
+        n += 1
+    return found

@@ -25,6 +25,8 @@ import numpy as np
 from .core import AxisPermutations, Shape, Support, Triple, apply_permutations
 
 LOG_FLOOR = 1e-300
+# largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
+ORDER_MAX_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -227,14 +229,12 @@ class OrderMinResult:
     permutations: Optional[AxisPermutations]
 
 
-def zeta_min_over_axis_orders(
-    s: Support, weights: SpectralWeights, tol: float = 1e-9, max_dim: int = 4
-) -> OrderMinResult:
+def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> OrderMinResult:
     """Minimum of the functional over all axis reorderings (coordinate flags
-    only).  Exhaustive over a! b! c! orderings; shapes above max_dim per axis
-    report unknown instead of an unfinishable search."""
+    only).  Exhaustive over a! b! c! orderings; shapes above ORDER_MAX_DIM per
+    axis report unknown instead of an unfinishable search."""
     a, b, c = s.shape
-    if max(a, b, c) > max_dim:
+    if max(a, b, c) > ORDER_MAX_DIM:
         return OrderMinResult("unknown", None, None)
     best: Optional[float] = None
     best_perms: Optional[AxisPermutations] = None

@@ -136,67 +136,28 @@ def _is_diagonal(m: Matrix) -> bool:
     return all(m[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i != j)
 
 
-def _diag(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(m[i][i] for i in range(len(m)))
-
-
-def _distinct(vals: tuple[Fraction, ...]) -> bool:
-    return len(set(vals)) == len(vals)
-
-
-def _scale_to_integers(
-    tau: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
-) -> TightWitness:
-    ints = linalg.integerize([v for axis in tau for v in axis])
-    a, b = len(tau[0]), len(tau[0]) + len(tau[1])
-    return TightWitness(tuple(ints[:a]), tuple(ints[a:b]), tuple(ints[b:]))
-
-
 def has_regular_semisimple(report: LieSolveReport) -> TightEvidence:
     """Decide tightness of the underlying tensor from its annihilator.
 
     annihilator_dim == 0 certifies the tensor is not tight in any basis.  A
-    kernel element whose three matrices are diagonal with pairwise-distinct
-    entries certifies tightness; when the whole kernel is simultaneously
-    diagonal, integer-power combinations of the basis are also tried, since
-    distinctness is generic on the span.  Everything else is inconclusive.
+    diagonal kernel element (X, Y, Z) puts x_i + y_j + z_k = 0 on every support
+    triple, so an integer combination of the diagonal basis elements whose
+    three diagonals each have distinct entries certifies tightness
+    (`linalg.injective_combination`).  Everything else is inconclusive.
     """
     if report.annihilator_dim == 0:
         return TightEvidence("not_tight", None)
-
-    def qualify(elem: LieElement) -> Optional[TightWitness]:
-        mats = elem.matrices()
-        if not all(_is_diagonal(m) for m in mats):
-            return None
-        diags = tuple(_diag(m) for m in mats)
-        if all(_distinct(d) for d in diags):
-            return _scale_to_integers(diags)
-        return None
-
-    for elem in report.basis:
-        w = qualify(elem)
-        if w is not None:
-            return TightEvidence("tight", w)
-
-    if report.basis and all(
-        all(_is_diagonal(m) for m in elem.matrices()) for elem in report.basis
-    ):
-        d = len(report.basis)
-        sizes = [len(m) for m in report.basis[0].matrices()]
-        pair_count = sum(n * (n - 1) // 2 for n in sizes)
-        for w in range(1, pair_count * max(d - 1, 1) + 2):
-            diags = []
-            for axis in range(3):
-                n = sizes[axis]
-                combo = [Fraction(0)] * n
-                for tpow, elem in enumerate(report.basis):
-                    dg = _diag(elem.matrices()[axis])
-                    for i in range(n):
-                        combo[i] += (w**tpow) * dg[i]
-                diags.append(tuple(combo))
-            if all(_distinct(dg) for dg in diags):
-                return TightEvidence("tight", _scale_to_integers(tuple(diags)))
-    return TightEvidence("inconclusive", None)
+    diagonals = [
+        [m[i][i] for m in elem.matrices() for i in range(len(m))]
+        for elem in report.basis
+        if all(_is_diagonal(m) for m in elem.matrices())
+    ]
+    a, b, c = (len(m) for m in report.basis[0].matrices())
+    blocks = ((0, a), (a, a + b), (a + b, a + b + c))
+    ints = linalg.injective_combination(diagonals, blocks)
+    if ints is None:
+        return TightEvidence("inconclusive", None)
+    return TightEvidence("tight", TightWitness(*(ints[lo:hi] for lo, hi in blocks)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: the tightness oracle is a
 complete bounded search over integer weightings, the antichain oracle is a
-maximum-independent-set search, the stabilizer oracle solves the full linear
-system, the annihilator oracle ranks the dense Leibniz action matrix by plain
+maximum-independent-set search, the zero-box oracle enumerates every pair of
+first- and second-axis index subsets (sharing no code with
+trisupport.compress), the stabilizer oracle solves the full linear system, the annihilator oracle ranks the dense Leibniz action matrix by plain
 Fraction elimination (sharing no code with trisupport.linalg or
 trisupport.symmetry), and the functional oracle is a simplex grid sweep.
 """
@@ -183,6 +184,38 @@ def oracle_max_antichain(shape: Shape) -> int:
 
     grow((1 << n) - 1, 0)
     return best
+
+
+def oracle_box_sizes(s: Support) -> set[tuple[int, int, int]]:
+    """Every (a1, b1, c1) such that some I x J x K of those sizes misses the
+    support.  All subsets I and J are enumerated; K can then be any set of
+    third-axis indices that no triple on I x J uses."""
+    a, b, c = s.shape
+    sizes = set()
+    for a1 in range(a + 1):
+        for i_set in itertools.combinations(range(a), a1):
+            for b1 in range(b + 1):
+                for j_set in itertools.combinations(range(b), b1):
+                    used = {k for (i, j, k) in s.triples if i in i_set and j in j_set}
+                    sizes.update((a1, b1, c1) for c1 in range(c - len(used) + 1))
+    return sizes
+
+
+def oracle_total_compressibility(s: Support) -> int:
+    """Largest a1 + b1 + c1 of a zero box."""
+    return max(sum(dims) for dims in oracle_box_sizes(s))
+
+
+def oracle_multicompressibility(s: Support) -> int:
+    """Largest r such that every in-range (a1, b1, c1) summing to r has a zero box."""
+    sizes = oracle_box_sizes(s)
+    a, b, c = s.shape
+    missing = {
+        sum(dims)
+        for dims in itertools.product(range(a + 1), range(b + 1), range(c + 1))
+        if dims not in sizes
+    }
+    return min(missing, default=a + b + c + 1) - 1
 
 
 def oracle_span_stabilizer_dim(s: Support) -> int:

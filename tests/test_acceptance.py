@@ -12,6 +12,7 @@ from _oracles import (
     oracle_annihilator_dim,
     oracle_max_antichain,
     oracle_tight,
+    oracle_total_compressibility,
     oracle_zeta_grid,
 )
 from _reference import M3_ORBIT_REPRESENTATIVES
@@ -142,6 +143,7 @@ def test_criterion_5_compressibility():
         shp = Shape(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4))
         s = random_support(rng, shp, rng.uniform(0.15, 0.8))
         kappa, _box = total_compressibility(s)
+        assert kappa == oracle_total_compressibility(s)
         assert slice_cover(s).size + kappa == shp.a + shp.b + shp.c
     _passed(5, "zero boxes, multicompressibility bounds and cover duality")
 

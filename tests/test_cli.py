@@ -57,6 +57,17 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert code == EXIT_INVALID
 
 
+def test_malformed_json_exits_invalid_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ("[1, 2]", '{"shape": [1, 1, 1], "entries": [{"idx": [0, 0, 0], "coef": "1/0"}]}'):
+        bad.write_text(text)
+        code = main(["decide", "tight", "--in", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_internal_invariant_exit_code(monkeypatch, capsys):
     import trisupport.cli as cli
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from _oracles import oracle_box_sizes, oracle_multicompressibility, oracle_total_compressibility
 from trisupport.compress import (
     contracted_flattening_rank,
     find_zero_box,
@@ -107,9 +108,28 @@ def test_cover_compressibility_duality_on_seeded_supports():
         s = random_support(rng, shp, rng.uniform(0.15, 0.8))
         kappa, box = total_compressibility(s)
         cov = slice_cover(s)
+        assert kappa == oracle_total_compressibility(s)
         assert cov.size + kappa == shp.a + shp.b + shp.c
         assert box.avoids(s)
         assert cov.covers(s)
+
+
+def test_zero_box_searches_match_brute_force_oracle():
+    rng = random.Random(33)
+    supports = [not_tight_compressible_4().support(), coppersmith_winograd(1).support()]
+    for _ in range(150):
+        shp = Shape(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4))
+        supports.append(random_support(rng, shp, rng.uniform(0.15, 0.8)))
+    for s in supports:
+        sizes = oracle_box_sizes(s)
+        a, b, c = s.shape
+        for dims in itertools.product(range(a + 1), range(b + 1), range(c + 1)):
+            box = find_zero_box(s, *dims)
+            assert (box is not None) == (dims in sizes), (s, dims)
+            assert box is None or (box.dims() == dims and box.avoids(s))
+        kappa, box = total_compressibility(s)
+        assert kappa == oracle_total_compressibility(s) == sum(box.dims())
+        assert multicompressibility(s) == oracle_multicompressibility(s)
 
 
 def test_slice_cover_bounds_slice_decomposition():

@@ -159,3 +159,36 @@ def test_json_round_trip():
     assert support_from_json(support_to_json(s)) == s
     # tensor documents parse as supports too
     assert support_from_json(tensor_to_json(t)) == s
+
+
+def test_json_boundary_drops_zero_coefficients_like_tensor():
+    doc = {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0], "coef": "0/1"}, {"idx": [1, 1, 1]}]}
+    assert support_from_json(json.dumps(doc)).triples == ((1, 1, 1),)
+    assert tensor_from_json(json.dumps(doc)).support().triples == ((1, 1, 1),)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0]}, {"idx": [0, 0, 0]}]},
+        {"shape": [2, 2, 2], "entries": [{"idx": [0.9, 0, 0]}]},
+        {"shape": [2, 2, 2], "entries": [{"idx": [True, 0, 0]}]},
+        {"shape": [2, 2], "entries": []},
+        {"shape": [True, 1, 1], "entries": []},
+        {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0], "coef": "1e2"}]},
+        {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0], "coef": 1}]},
+        {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0], "coef": "1/0"}]},
+        {"shape": [2, 2, 2], "entries": {}},
+        {"shape": [2, 2, 2], "entries": [[0, 0, 0]]},
+    ],
+)
+def test_json_boundary_rejects_malformed_documents(doc):
+    for parse in (support_from_json, tensor_from_json):
+        with pytest.raises(ValueError):
+            parse(json.dumps(doc))
+
+
+def test_shape_rejects_bool():
+    with pytest.raises(ShapeError):
+        Shape(True, 1, 1)

@@ -137,6 +137,17 @@ def test_has_regular_semisimple_on_direct_sum_of_tight_tensors():
     assert ev.witness.certifies(t.support())
 
 
+def test_has_regular_semisimple_combines_the_diagonal_elements():
+    # 4 of the 5 kernel basis elements are diagonal, none alone has distinct
+    # diagonals, and the fifth is not diagonal: the diagonal ones are combined
+    s = Support(Shape(3, 2, 3), ((0, 1, 1), (1, 0, 2), (2, 0, 1), (2, 1, 0)))
+    rep = annihilator(Tensor(s.shape, {t: Fraction(1) for t in s.triples}))
+    assert rep.kernel_dim == 5
+    ev = has_regular_semisimple(rep)
+    assert ev.status == "tight"
+    assert ev.witness.certifies(s)
+
+
 def test_has_regular_semisimple_inconclusive_on_nilpotent():
     zero2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
     nil = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
