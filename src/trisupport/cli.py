@@ -35,6 +35,7 @@ from .core import (
     Shape,
     Support,
     Tensor,
+    _parse_ints,
     apply_permutations,
     support_from_json,
     support_to_obj,
@@ -76,8 +77,10 @@ def _witness_obj(w: TightWitness) -> dict:
     return {"tauA": list(w.tau_a), "tauB": list(w.tau_b), "tauC": list(w.tau_c)}
 
 
-def _witness_from_obj(obj: dict) -> TightWitness:
-    return TightWitness(tuple(obj["tauA"]), tuple(obj["tauB"]), tuple(obj["tauC"]))
+def _witness_from_obj(obj: object) -> TightWitness:
+    if not isinstance(obj, dict):
+        raise ValueError(f"witness must be a JSON object, got {type(obj).__name__}")
+    return TightWitness(*(_parse_ints(obj.get(key), key) for key in ("tauA", "tauB", "tauC")))
 
 
 def _perms_obj(p) -> dict:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Optional
 
 Triple = tuple[int, int, int]
 
@@ -233,11 +233,17 @@ def _parse_fraction(text: object) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-def _parse_triple(value: object, what: str) -> Triple:
+def _parse_ints(value: object, what: str, length: Optional[int] = None) -> tuple[int, ...]:
+    """A JSON list of plain integers, of the given length if one is given."""
     # bool is an int subclass and float would truncate, so both are refused
-    if not (isinstance(value, list) and len(value) == 3 and all(type(v) is int for v in value)):
-        raise ValueError(f"{what} must be a list of three integers, got {value!r}")
-    return (value[0], value[1], value[2])
+    if not (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(type(v) is int for v in value)
+    ):
+        size = "" if length is None else f"{length} "
+        raise ValueError(f"{what} must be a list of {size}integers, got {value!r}")
+    return tuple(value)
 
 
 def tensor_to_obj(t: Tensor) -> dict:
@@ -260,10 +266,10 @@ def obj_to_tensor(obj: object) -> Tensor:
     items = obj.get("entries")
     if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
         raise ValueError("entries must be a list of objects")
-    shape = Shape(*_parse_triple(obj.get("shape"), "shape"))
+    shape = Shape(*_parse_ints(obj.get("shape"), "shape", 3))
     entries: dict[Triple, Fraction] = {}
     for e in items:
-        idx = _parse_triple(e.get("idx"), "idx")
+        idx = _parse_ints(e.get("idx"), "idx", 3)
         if idx in entries:
             raise ValueError(f"duplicate idx {list(idx)}")
         entries[idx] = _parse_fraction(e.get("coef", "1/1"))

@@ -10,9 +10,12 @@ search over axis orders; freeness is a pairwise scan.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, Optional
+from fractions import Fraction
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from . import linalg
 from .core import (
@@ -61,14 +64,8 @@ class TightWitness:
         natural coordinatewise order.
         """
 
-        def ranks(tau: tuple[int, ...]) -> tuple[int, ...]:
-            order = sorted(range(len(tau)), key=lambda i: tau[i])
-            out = [0] * len(tau)
-            for pos, idx in enumerate(order):
-                out[idx] = pos
-            return tuple(out)
-
-        return AxisPermutations(ranks(self.tau_a), ranks(self.tau_b), ranks(self.tau_c))
+        taus = (self.tau_a, self.tau_b, self.tau_c)
+        return AxisPermutations(*(_ranks(sorted(range(len(t)), key=t.__getitem__)) for t in taus))
 
 
 def is_free(s: Support) -> bool:
@@ -104,9 +101,16 @@ def _incidence_rows(s: Support) -> tuple[list[linalg.SparseRow], int]:
     return rows, s.shape.a + s.shape.b + s.shape.c
 
 
-def _axis_slices(shape: Shape) -> tuple[tuple[int, int], ...]:
+def _injective_witness(
+    vectors: Sequence[Sequence[Fraction]], shape: Sequence[int], seed: int = 0
+) -> Optional[TightWitness]:
+    """Slice an injective integer combination of `vectors`, whose entries run
+    over the first, second and third axis in turn, into a witness; None when
+    some pair of entries on one axis agrees on every vector."""
     a, b, c = shape
-    return ((0, a), (a, a + b), (a + b, a + b + c))
+    blocks = ((0, a), (a, a + b), (a + b, a + b + c))
+    ints = linalg.injective_combination(vectors, blocks, seed)
+    return None if ints is None else TightWitness(*(ints[lo:hi] for lo, hi in blocks))
 
 
 def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
@@ -116,12 +120,8 @@ def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
     vectors (`linalg.injective_combination`).
     """
     rows, ncols = _incidence_rows(s)
-    blocks = _axis_slices(s.shape)
-    ints = linalg.injective_combination(linalg.nullspace(rows, ncols), blocks, seed)
-    if ints is None:
-        return None
-    witness = TightWitness(*(ints[lo:hi] for lo, hi in blocks))
-    if not witness.certifies(s):
+    witness = _injective_witness(linalg.nullspace(rows, ncols), s.shape, seed)
+    if witness is not None and not witness.certifies(s):
         raise AssertionError("internal: extracted weighting failed verification")
     return witness
 
@@ -132,24 +132,15 @@ def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
 
 @dataclass(frozen=True)
 class ObliqueResult:
+    """The verdict, a witness reordering when oblique, and the search nodes
+    spent: one per first-axis order, one per placement of a second-axis
+    value (and one for the empty order), and one per third-axis solve.  The
+    tight fast path and the freeness refutation spend none; "unknown" reports
+    the whole budget."""
+
     status: Literal["oblique", "not_oblique", "unknown"]
     witness: Optional[AxisPermutations]
     nodes: int
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n: int):
-        self.left = n
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def decide_oblique(s: Support, budget: int = 10_000_000, seed: int = 0) -> ObliqueResult:
@@ -157,12 +148,16 @@ def decide_oblique(s: Support, budget: int = 10_000_000, seed: int = 0) -> Obliq
     support into an antichain.
 
     Tight supports short-circuit through the weighting-sort construction.
-    Otherwise the search enumerates orders of the first two axes with early
-    pruning; the third axis order is never searched, because each surviving
-    pair forces an orientation of a pair of third-axis values, and a valid
-    order exists iff the forced orientation digraph is acyclic.  The search
-    is exhaustive, so "not_oblique" is exact; "unknown" occurs only when the
-    node budget is exhausted.
+    Otherwise one rule drives the search: two distinct triples are
+    incomparable exactly when the orders of the axes they differ on do not
+    all point the same way.  For each first-axis order, a pair that agrees on
+    the third axis forces a second-axis edge against its first-axis order,
+    and the second-axis orders searched are the linear extensions of those
+    edges.  For each complete second-axis order, every other pair forces a
+    third-axis edge against its first two axes unless they point opposite
+    ways, and the third-axis order is the smallest topological order of
+    those edges.  The search is exhaustive, so "not_oblique" is exact;
+    "unknown" occurs only when the node budget is exhausted.
     """
     if not is_free(s):
         return ObliqueResult("not_oblique", None, 0)
@@ -174,187 +169,111 @@ def decide_oblique(s: Support, budget: int = 10_000_000, seed: int = 0) -> Obliq
             raise AssertionError("internal: weighting sort did not yield an antichain")
         return ObliqueResult("oblique", perms, 0)
 
-    a = s.shape.a
-    ts = s.triples
-    n = len(ts)
-    # pairs bucketed by which coordinate (if any) agrees; freeness rules out
-    # agreement in two coordinates, so the buckets are well defined
-    eq_a: list[tuple[Triple, Triple]] = []
-    eq_b: list[tuple[Triple, Triple]] = []
-    eq_c: list[tuple[Triple, Triple]] = []
-    diff3: list[tuple[Triple, Triple]] = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            p, q = ts[x], ts[y]
-            if p[0] == q[0]:
-                eq_a.append((p, q))
-            elif p[1] == q[1]:
-                eq_b.append((p, q))
-            elif p[2] == q[2]:
-                eq_c.append((p, q))
-            else:
-                diff3.append((p, q))
-
-    budget_box = _Budget(budget)
-    for perm_a in itertools.permutations(range(a)):
-        if not budget_box.spend():
+    nodes = 0
+    for nodes, perms in enumerate(_oblique_search(s), 1):
+        if nodes > budget:
             return ObliqueResult("unknown", None, budget)
-        rank_a = [0] * a
-        for pos, val in enumerate(perm_a):
-            rank_a[val] = pos
-
-        # required b-orientation for pairs agreeing in the third coordinate:
-        # (u, v) must be ordered opposite to the a-orientation
-        need: dict[tuple[int, int], int] = {}
-        consistent = True
-        for p, q in eq_c:
-            da = _sign(rank_a[p[0]] - rank_a[q[0]])
-            u, v = p[1], q[1]
-            req = -da  # dir_b(u, v) must equal req
-            key = (u, v) if u < v else (v, u)
-            req_key = req if u < v else -req
-            if need.get(key, req_key) != req_key:
-                consistent = False
-                break
-            need[key] = req_key
-        if not consistent:
-            continue
-
-        found = _search_b(
-            s, rank_a, need, eq_a, eq_b, diff3, budget_box
-        )
-        if found is not None:
-            perms = AxisPermutations(tuple(rank_a), found[0], found[1])
+        if perms is not None:
             if not is_antichain(apply_permutations(s, perms)):
                 raise AssertionError("internal: oblique search returned a non-antichain")
-            return ObliqueResult("oblique", perms, budget - budget_box.left)
-        if budget_box.left < 0:
-            return ObliqueResult("unknown", None, budget)
-    return ObliqueResult("not_oblique", None, budget - budget_box.left)
+            return ObliqueResult("oblique", perms, nodes)
+    return ObliqueResult("not_oblique", None, nodes)
 
 
-def _search_b(
-    s: Support,
-    rank_a: list[int],
-    need: dict[tuple[int, int], int],
-    eq_a: list[tuple[Triple, Triple]],
-    eq_b: list[tuple[Triple, Triple]],
-    diff3: list[tuple[Triple, Triple]],
-    budget: _Budget,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    b, c = s.shape.b, s.shape.c
-    rank_b = [-1] * b  # -1 = unassigned; assigned values precede unassigned ones
-
-    def dir_b(u: int, v: int) -> int:
-        # orientation is known iff at least one endpoint is ranked
-        ru, rv = rank_b[u], rank_b[v]
-        if ru >= 0 and rv >= 0:
-            return _sign(ru - rv)
-        if ru >= 0:
-            return -1
-        if rv >= 0:
-            return 1
-        return 0  # unknown
-
-    def violates(u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        req = need.get(key)
-        if req is None:
-            return False
-        d = dir_b(key[0], key[1])
-        return d != 0 and d != req
-
-    def place(pos: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if not budget.spend():
-            return None
-        if pos == b:
-            return _solve_c(s, rank_a, rank_b, eq_a, eq_b, diff3, c, budget)
-        for val in range(b):
-            if rank_b[val] >= 0:
+def _oblique_search(s: Support) -> Iterator[Optional[AxisPermutations]]:
+    """Yield once per search node: the reordering found at a third-axis
+    solve, else None."""
+    a, b, c = s.shape
+    pairs = list(itertools.combinations(s.triples, 2))
+    rest = [(p, q) for p, q in pairs if p[2] != q[2]]
+    # (i, j, e, f) per pair agreeing on the third axis: its first-axis values
+    # and the second-axis edge it forces when i precedes j (e) or follows it
+    # (f).  Only pairs on the same two second-axis values can force opposite
+    # edges, so the largest such groups go first: a first-axis order that
+    # fails is then refuted after few pairs.
+    same_c = [(p[0], q[0], (q[1], p[1]), (p[1], q[1])) for p, q in pairs if p[2] == q[2]]
+    group = Counter(min(e, f) for _, _, e, f in same_c)
+    same_c.sort(key=lambda t: (-group[min(t[2], t[3])], min(t[2], t[3])))
+    for order_a in itertools.permutations(range(a)):
+        yield None
+        rank_a = _ranks(order_a)
+        edges_b = _precedence(e if rank_a[i] < rank_a[j] else f for i, j, e, f in same_c)
+        if edges_b is None:
+            continue
+        for order_b in _extension_prefixes(b, edges_b):
+            yield None
+            if len(order_b) < b:
                 continue
-            rank_b[val] = pos
-            ok = True
-            for key in need:
-                if val in key and violates(*key):
-                    ok = False
-                    break
-            if ok:
-                res = place(pos + 1)
-                if res is not None or budget.left < 0:
-                    rank_b[val] = -1
-                    return res
-            rank_b[val] = -1
-        return None
-
-    return place(0)
+            rank_b = _ranks(order_b)
+            edges_c = _precedence(_third_axis_edges(rest, rank_a, rank_b))
+            order_c = None if edges_c is None else _smallest_topological_order(c, edges_c)
+            yield None if order_c is None else AxisPermutations(rank_a, rank_b, _ranks(order_c))
 
 
-def _solve_c(
-    s: Support,
-    rank_a: list[int],
-    rank_b: list[int],
-    eq_a: list[tuple[Triple, Triple]],
-    eq_b: list[tuple[Triple, Triple]],
-    diff3: list[tuple[Triple, Triple]],
-    c: int,
-    budget: _Budget,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Collect forced third-axis orientations and topologically order them."""
-    if not budget.spend():
-        return None
-    forced: dict[tuple[int, int], int] = {}
+def _third_axis_edges(
+    pairs: list[tuple[Triple, Triple]], rank_a: list[int], rank_b: list[int]
+) -> Iterator[tuple[int, int]]:
+    """The third-axis edge each pair forces: a pair whose first two axes
+    point the same way, an agreeing axis counting as either way, must point
+    the other way on the third.  Freeness keeps a pair from agreeing on both."""
+    for p, q in pairs:
+        pa, qa, pb, qb = rank_a[p[0]], rank_a[q[0]], rank_b[p[1]], rank_b[q[1]]
+        if pa >= qa and pb >= qb:
+            yield p[2], q[2]
+        elif pa <= qa and pb <= qb:
+            yield q[2], p[2]
 
-    def force(u: int, v: int, d: int) -> bool:
-        # require dir_c(u, v) == d with d in {-1, +1}
-        key = (u, v) if u < v else (v, u)
-        dk = d if u < v else -d
-        old = forced.get(key)
-        if old is not None and old != dk:
-            return False
-        forced[key] = dk
-        return True
 
-    for p, q in eq_a:
-        db = _sign(rank_b[p[1]] - rank_b[q[1]])
-        if not force(p[2], q[2], -db):
+def _precedence(edges: Iterable[tuple[int, int]]) -> Optional[set[tuple[int, int]]]:
+    """The forced edges (u, v), u placed before v, or None if two are opposite."""
+    out: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if (v, u) in out:
             return None
-    for p, q in eq_b:
-        da = _sign(rank_a[p[0]] - rank_a[q[0]])
-        if not force(p[2], q[2], -da):
-            return None
-    for p, q in diff3:
-        da = _sign(rank_a[p[0]] - rank_a[q[0]])
-        db = _sign(rank_b[p[1]] - rank_b[q[1]])
-        if da == db:
-            if not force(p[2], q[2], -da):
-                return None
+        out.add((u, v))
+    return out
 
-    # build the precedence digraph on third-axis values and topo-sort it
-    after: list[set[int]] = [set() for _ in range(c)]
-    indeg = [0] * c
-    for (u, v), d in forced.items():
-        lo, hi = (u, v) if d < 0 else (v, u)
-        if hi not in after[lo]:
-            after[lo].add(hi)
-            indeg[hi] += 1
-    avail = sorted(v for v in range(c) if indeg[v] == 0)
+
+def _extension_prefixes(n: int, edges: set[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """Every prefix of every linear extension of `edges` on range(n), depth
+    first and in lexicographic order: a value can be placed exactly when all
+    its predecessors are."""
+    preds = [{u for u, v in edges if v == w} for w in range(n)]
+
+    def grow(prefix: tuple[int, ...], placed: set[int]) -> Iterator[tuple[int, ...]]:
+        yield prefix
+        for v in range(n):
+            if v not in placed and preds[v] <= placed:
+                yield from grow(prefix + (v,), placed | {v})
+
+    return grow((), set())
+
+
+def _smallest_topological_order(n: int, edges: set[tuple[int, int]]) -> Optional[list[int]]:
+    """Kahn's algorithm with a heap; None when the edges close a cycle."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
     order: list[int] = []
-    while avail:
-        v = avail.pop(0)
-        order.append(v)
-        added = []
-        for w in after[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                added.append(w)
-        if added:
-            avail = sorted(avail + added)
-    if len(order) != c:
-        return None  # cycle: no compatible total order
-    rank_c = [0] * c
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return order if len(order) == n else None
+
+
+def _ranks(order: Sequence[int]) -> list[int]:
+    """The position of each value in `order`."""
+    out = [0] * len(order)
     for pos, val in enumerate(order):
-        rank_c[val] = pos
-    return tuple(rank_b), tuple(rank_c)
+        out[val] = pos
+    return out
 
 
 # ---------------------------------------------------------------------------

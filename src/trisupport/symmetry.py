@@ -16,7 +16,7 @@ from typing import Literal, Optional
 
 from . import linalg
 from .core import Shape, Support, Tensor, Triple, direct_sum, kronecker
-from .deciders import TightWitness
+from .deciders import TightWitness, _injective_witness
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -152,12 +152,8 @@ def has_regular_semisimple(report: LieSolveReport) -> TightEvidence:
         for elem in report.basis
         if all(_is_diagonal(m) for m in elem.matrices())
     ]
-    a, b, c = (len(m) for m in report.basis[0].matrices())
-    blocks = ((0, a), (a, a + b), (a + b, a + b + c))
-    ints = linalg.injective_combination(diagonals, blocks)
-    if ints is None:
-        return TightEvidence("inconclusive", None)
-    return TightEvidence("tight", TightWitness(*(ints[lo:hi] for lo, hi in blocks)))
+    witness = _injective_witness(diagonals, [len(m) for m in report.basis[0].matrices()])
+    return TightEvidence("inconclusive" if witness is None else "tight", witness)
 
 
 # ---------------------------------------------------------------------------

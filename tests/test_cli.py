@@ -143,6 +143,22 @@ def test_arrange_cli(tmp_path, capsys):
     assert svg.read_text().count("<line") == 9
 
 
+def test_arrange_refuses_malformed_witness(tmp_path, capsys):
+    witness_file = tmp_path / "w.json"
+    for doc, field in (
+        ("[1, 2]", "witness"),
+        ('{"tauA": [0, 1], "tauB": [0, 1]}', "tauC"),
+        ('{"tauA": [0.5, 1.7], "tauB": [0, 1], "tauC": [0, -1]}', "tauA"),
+        ('{"tauA": [true, false], "tauB": [0, 1], "tauC": [0, -1]}', "tauA"),
+    ):
+        witness_file.write_text(doc)
+        code = main(["arrange", "--witness", str(witness_file)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID, doc
+        assert captured.err.startswith("error:") and field in captured.err, captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_reproduce_runs_and_is_deterministic(capsys):
     code, rep1 = run(capsys, "reproduce")
     assert code == EXIT_OK

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from _oracles import oracle_max_antichain, oracle_oblique, oracle_tight
 from _reference import M3_ORBIT_REPRESENTATIVES
+from trisupport import deciders
 from trisupport.constructions import matmul, oblique_not_tight_4, tight_max_support, free_max_support
 from trisupport.core import Shape, Support, apply_permutations, is_concise_support
 from trisupport.deciders import (
@@ -18,6 +20,20 @@ from trisupport.deciders import (
     max_oblique_size,
 )
 from trisupport.sampling import random_support
+
+
+def _free_support(rng, shape, size):
+    """Greedy pass over the cells in random order, keeping a cell that shares
+    no coordinate pair with a kept one, cut at `size` cells."""
+    cells = list(itertools.product(range(shape.a), range(shape.b), range(shape.c)))
+    rng.shuffle(cells)
+    used, kept = set(), []
+    for i, j, k in cells:
+        keys = {(0, i, j), (1, i, k), (2, j, k)}
+        if len(kept) < size and used.isdisjoint(keys):
+            used |= keys
+            kept.append((i, j, k))
+    return Support(shape, tuple(kept))
 
 
 def test_is_free_examples():
@@ -109,22 +125,76 @@ def test_decide_oblique_agrees_with_exhaustive_order_oracle():
         assert (res.status == "oblique") == oracle_oblique(s)
 
 
+def test_decide_oblique_agrees_with_oracle_on_non_cubical_shapes(monkeypatch):
+    # on cubes a mix-up between the second and third axis cannot show; the
+    # tight fast path is switched off so that every draw reaches the search
+    monkeypatch.setattr(deciders, "decide_tight", lambda s, seed=0: None)
+    rng = random.Random(16)
+    for dims in ((2, 3, 4), (4, 3, 2), (3, 2, 4), (3, 4, 2), (2, 4, 3), (4, 2, 3)):
+        shape = Shape(*dims)
+        for _ in range(10):
+            s = _free_support(rng, shape, rng.randint(3, 8))
+            res = decide_oblique(s)
+            assert res.status != "unknown"
+            assert (res.status == "oblique") == oracle_oblique(s), (dims, s.triples)
+
+
 def test_decide_oblique_refutes_free_non_antichain_supports():
     # free supports larger than the maximum antichain force the search to
-    # exhaust every axis order before answering
-    for m in (2, 3):
+    # exhaust every first-axis order, each refuted before a second-axis node
+    for m in range(2, 7):
         f = free_max_support(m)
         assert is_free(f)
         assert len(f) > max_oblique_size(m, m, m)[0]
         res = decide_oblique(f)
         assert res.status == "not_oblique"
-        assert res.nodes > 0
+        assert res.nodes == math.factorial(m)
+
+
+# (m, size) -> ((status, nodes) at the default budget and at budgets 1, 17 and
+# 1000, the default budget's witness) for the seeded draws of the test below.
+# Recorded from the search before it was rewritten around one forcing rule;
+# the CLI's --budget and the benchmark rely on the node counts, not only on
+# the verdicts.
+OBLIQUE_GOLDEN = {
+    (5, 9): ([("oblique", 8), ("unknown", 1), ("oblique", 8), ("oblique", 8)],
+             ((0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (3, 2, 1, 0, 4))),
+    (5, 10): ([("oblique", 0), ("oblique", 0), ("oblique", 0), ("oblique", 0)],
+              ((2, 1, 3, 0, 4), (1, 3, 4, 2, 0), (0, 1, 2, 3, 4))),
+    (5, 11): ([("oblique", 0), ("oblique", 0), ("oblique", 0), ("oblique", 0)],
+              ((2, 0, 4, 3, 1), (2, 1, 0, 3, 4), (1, 3, 0, 2, 4))),
+    (5, 12): ([("oblique", 18), ("unknown", 1), ("unknown", 17), ("oblique", 18)],
+              ((0, 3, 1, 4, 2), (3, 0, 4, 2, 1), (3, 4, 0, 1, 2))),
+    (6, 13): ([("oblique", 156), ("unknown", 1), ("unknown", 17), ("oblique", 156)],
+              ((2, 0, 1, 5, 3, 4), (5, 2, 0, 4, 1, 3), (3, 5, 4, 0, 2, 1))),
+    (6, 14): ([("not_oblique", 720), ("unknown", 1), ("unknown", 17), ("not_oblique", 720)], None),
+    (6, 16): ([("not_oblique", 793), ("unknown", 1), ("unknown", 17), ("not_oblique", 793)], None),
+    (6, 18): ([("not_oblique", 746), ("unknown", 1), ("unknown", 17), ("not_oblique", 746)], None),
+    (7, 17): ([("oblique", 18), ("unknown", 1), ("unknown", 17), ("oblique", 18)],
+              ((0, 1, 2, 5, 3, 4, 6), (5, 3, 6, 0, 4, 1, 2), (0, 1, 4, 3, 2, 6, 5))),
+    (7, 20): ([("not_oblique", 5617), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+    (7, 22): ([("not_oblique", 5077), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+    (7, 24): ([("not_oblique", 5040), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+}
+
+
+def test_decide_oblique_verdicts_nodes_and_witnesses_are_pinned():
+    rng = random.Random(79)
+    for m in (5, 6, 7):
+        for frac in (0.35, 0.4, 0.45, 0.5):
+            s = _free_support(rng, Shape(m, m, m), round(frac * m * m))
+            rows, witness = OBLIQUE_GOLDEN[(m, len(s))]
+            results = [decide_oblique(s)] + [decide_oblique(s, budget=k) for k in (1, 17, 1000)]
+            assert [(r.status, r.nodes) for r in results] == rows, (m, len(s))
+            w = results[0].witness
+            assert (None if w is None else (w.on_a, w.on_b, w.on_c)) == witness, (m, len(s))
 
 
 def test_decide_oblique_budget_exhaustion_is_unknown():
-    # a non-free-looking but free support large enough that a tiny budget trips
-    s = free_max_support(4)
-    assert decide_oblique(s, budget=1).status in ("unknown", "oblique")
+    s = free_max_support(5)
+    for k in (0, 1, 5, 100):
+        res = decide_oblique(s, budget=k)
+        assert (res.status, res.witness, res.nodes) == ("unknown", None, k)
     # not-free inputs are refuted without search regardless of budget
     bad = Support(Shape(2, 2, 2), ((0, 0, 0), (0, 0, 1)))
     assert decide_oblique(bad, budget=0).status == "not_oblique"
