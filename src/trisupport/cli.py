@@ -44,7 +44,7 @@ from .core import (
 )
 from .deciders import TightWitness, census_m3, decide_oblique, decide_tight, is_free, max_oblique_size
 from .sampling import generic_tensor_on, random_concise_tensor, random_support
-from .spectral import SpectralWeights, zeta_full, zeta_min_over_axis_orders
+from .spectral import SpectralWeights, ZetaUnconverged, zeta_full, zeta_min_over_axis_orders
 from .symmetry import annihilator, check_propagation, class_dimension, span_stabilizer_dim
 
 EXIT_OK = 0
@@ -217,8 +217,13 @@ def _parse_theta(vals: list[str]) -> SpectralWeights:
 def _cmd_zeta(args) -> dict:
     s = _read_support(args.infile)
     weights = _parse_theta(args.theta)
+    try:
+        res = (zeta_min_over_axis_orders if args.min_orders else zeta_full)(s, weights, tol=args.tol)
+    except ZetaUnconverged as exc:
+        raise UnknownResult(
+            {"status": "unknown", "reason": "ascent iteration cap", "gap": exc.gap, "iterations": exc.iterations}
+        ) from exc
     if args.min_orders:
-        res = zeta_min_over_axis_orders(s, weights, tol=args.tol)
         if res.status == "unknown":
             raise UnknownResult(
                 {"status": "unknown", "reason": "axis size above the exhaustive-order gate"}
@@ -228,7 +233,6 @@ def _cmd_zeta(args) -> dict:
             "minimized_over_axis_orders": True,
             "note": "coordinate-flag upper bound for the full flag minimum",
         }
-    res = zeta_full(s, weights, tol=args.tol)
     return {
         "value": res.value,
         "log2_value": res.log2_value,
@@ -298,8 +302,9 @@ def _cmd_reproduce(args) -> dict:
     for m in range(2, 7):
         tight_d = class_dimension("Tight", m)
         free_d = class_dimension("Free", m)
-        expect_tight = 3 * m * m - 3 * m + len(tight_max_support(m)[0])
-        expect_free = 3 * m * m - 3 * m + len(free_max_support(m))
+        # the incidence count overshoots the ambient m^3 at m = 2
+        expect_tight = min(3 * m * m - 3 * m + len(tight_max_support(m)[0]), m**3)
+        expect_free = min(3 * m * m - 3 * m + len(free_max_support(m)), m**3)
         dims_ok = dims_ok and tight_d == expect_tight and free_d == expect_free
         dim_rows.append({"m": m, "Tight": tight_d, "Oblique": class_dimension("Oblique", m), "Free": free_d})
     dims_ok = dims_ok and class_dimension("MaMu", 4) == 36 and class_dimension("Ambient", 3) == 27

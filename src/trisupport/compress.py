@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from . import linalg
-from .core import Shape, Support, Tensor
+from .core import Shape, Support
 
 
 @dataclass(frozen=True)
@@ -227,24 +225,3 @@ def slice_cover(s: Support) -> SliceCover:
     if not cover.covers(s):
         raise AssertionError("internal: cover search returned a non-cover")
     return cover
-
-
-def contracted_flattening_rank(t: Tensor, axis: int, functional: Sequence[Fraction]) -> int:
-    """Exact rank of the matrix obtained by pairing one factor with a covector.
-
-    This is the constructive quantity behind single-axis compressibility
-    statements: a rank-r contraction certifies (1, b', c')-compressibility
-    for suitable splits in an adapted basis.
-    """
-    sizes = tuple(t.shape)
-    if len(functional) != sizes[axis]:
-        raise ValueError("functional length must match the contracted axis")
-    others = [d for d in range(3) if d != axis]
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(sizes[others[0]])]
-    for tr, v in t.entries.items():
-        coef = Fraction(functional[tr[axis]]) * v
-        if coef:
-            r, col = tr[others[0]], tr[others[1]]
-            rows[r][col] = rows[r].get(col, Fraction(0)) + coef
-    cleaned = [linalg.row_from_fractions(r) for r in rows]
-    return linalg.rank(cleaned, sizes[others[1]])

@@ -9,7 +9,9 @@ only here.
 
 Values are coordinate-flag evaluations: the outer flag minimization is
 restricted to coordinate flags induced by axis reorderings, so minimized
-results are upper bounds for the full flag-variety minimum.
+results are upper bounds for the full flag-variety minimum.  That minimum
+runs the ascent only on the inclusion-minimal incompressibility sets the
+reorderings produce, since a larger set never has the smaller maximum.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 from .core import AxisPermutations, Shape, Support, Triple, apply_permutations
 
 LOG_FLOOR = 1e-300
+# steps zeta_full takes before it gives up with ZetaUnconverged
+MAX_ITERATIONS = 100_000
 # largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
 ORDER_MAX_DIM = 4
 
@@ -131,18 +135,21 @@ class ZetaResult:
     distribution: SupportDistribution
 
 
-def _objective(theta: tuple[float, float, float], marginals: list[np.ndarray]) -> float:
-    f = 0.0
-    for th, q in zip(theta, marginals):
-        if th > 0:
-            mask = q > 0
-            f += th * float(-(q[mask] * np.log2(q[mask])).sum())
-    return f
+class ZetaUnconverged(RuntimeError):
+    """The ascent reached MAX_ITERATIONS with its gap still at or above 1e-6."""
+
+    def __init__(self, gap: float, iterations: int):
+        super().__init__(f"ascent gap {gap} after {iterations} iterations")
+        self.gap = gap
+        self.iterations = iterations
 
 
 def zeta_full(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> ZetaResult:
     """Maximize the weighted marginal entropy over distributions on the
-    incompressibility set and return 2**maximum with a certificate gap."""
+    incompressibility set and return 2**maximum with a certificate gap.
+
+    Raises ZetaUnconverged when MAX_ITERATIONS steps leave the gap at or
+    above 1e-6."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     phi = incompr_set(s)
@@ -151,59 +158,57 @@ def zeta_full(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> ZetaRe
     theta = weights.as_floats()
     pts = phi.points
     n = len(pts)
-    idx = [np.array([t[axis] for t in pts]) for axis in range(3)]
     sizes = tuple(s.shape)
+    # The a + b + c marginals are one vector: axis d's value i is row
+    # offset[d] + i, and rows[d * n + x] is point x's row on axis d.
+    offset = (0, sizes[0], sizes[0] + sizes[1])
+    rows = np.array([offset[axis] + t[axis] for axis in range(3) for t in pts])
+    each_point = np.tile(np.arange(n), 3)
+    row_theta = np.repeat(theta, sizes)
+
+    def evaluate(vec: np.ndarray) -> tuple[np.ndarray, float]:
+        """Logs of all marginals of vec (floored, so 0 log 0 = 0) and the
+        weighted entropy they give."""
+        q = np.bincount(rows, weights=vec[each_point], minlength=len(row_theta))
+        logq = np.log2(np.maximum(q, LOG_FLOOR))
+        return logq, -float(np.dot(row_theta * q, logq))
 
     p = np.full(n, 1.0 / n)
-
-    def marginals(vec: np.ndarray) -> list[np.ndarray]:
-        return [
-            np.bincount(idx[axis], weights=vec, minlength=sizes[axis])
-            for axis in range(3)
-        ]
-
-    def gradient(margs: list[np.ndarray]) -> np.ndarray:
-        g = np.zeros(n)
-        for axis in range(3):
-            if theta[axis] > 0:
-                with np.errstate(divide="ignore"):
-                    logm = np.log2(np.maximum(margs[axis], LOG_FLOOR))
-                g -= theta[axis] * logm[idx[axis]]
-        return g
-
-    f = _objective(theta, marginals(p))
+    logq, f = evaluate(p)
     iterations = 0
     gap = math.inf
 
-    def try_step(g: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
-        w = np.exp(eta * (g - g.max()))
-        cand = p * w
+    def try_step(shifted: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
+        cand = p * np.exp(eta * shifted)
         cand /= cand.sum()
-        return cand, _objective(theta, marginals(cand))
+        return (cand, *evaluate(cand))
 
-    for t in range(100_000):
+    for t in range(MAX_ITERATIONS):
         iterations = t + 1
-        margs = marginals(p)
-        g = gradient(margs)
+        g = -(row_theta * logq)[rows].reshape(3, n).sum(axis=0)
         gap = float(g.max() - g @ p)
+        shifted = g - g.max()
         # base schedule, halved until monotone, then doubled while it helps
         step = 1.0 / (1.0 + t / 100.0)
-        cand, f_new = try_step(g, step)
+        cand, cand_logq, f_new = try_step(shifted, step)
         while f_new < f - 1e-12 and step > 1e-12:
             step /= 2.0
-            cand, f_new = try_step(g, step)
+            cand, cand_logq, f_new = try_step(shifted, step)
         while True:
-            cand2, f2 = try_step(g, step * 2.0)
+            cand2, logq2, f2 = try_step(shifted, step * 2.0)
             if f2 <= f_new:
                 break
             step *= 2.0
-            cand, f_new = cand2, f2
+            cand, cand_logq, f_new = cand2, logq2, f2
         if f_new < f - 1e-9:
             raise AssertionError("internal: ascent step decreased the objective")
         improvement = f_new - f
-        p, f = cand, max(f, f_new)
+        p, logq, f = cand, cand_logq, max(f, f_new)
         if improvement < tol and gap < 1e-6:
             break
+    else:
+        if gap >= 1e-6:
+            raise ZetaUnconverged(gap, iterations)
 
     cap = sum(th * math.log2(nn) for th, nn in zip(theta, sizes) if th > 0)
     if f > cap + 1e-9:
@@ -231,24 +236,33 @@ class OrderMinResult:
 
 def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> OrderMinResult:
     """Minimum of the functional over all axis reorderings (coordinate flags
-    only).  Exhaustive over a! b! c! orderings; shapes above ORDER_MAX_DIM per
-    axis report unknown instead of an unfinishable search."""
+    only).
+
+    Every one of the a! b! c! orderings is enumerated for its closure (its
+    incompressibility set), but the ascent runs only on the inclusion-minimal
+    distinct closures: a distribution on a closure is one on every closure
+    containing it, so the minimum is attained on a minimal one.  Among equal
+    values the first ordering enumerated wins.  Shapes above ORDER_MAX_DIM
+    per axis report unknown instead of an unfinishable search."""
     a, b, c = s.shape
     if max(a, b, c) > ORDER_MAX_DIM:
         return OrderMinResult("unknown", None, None)
+    first: dict[frozenset[Triple], AxisPermutations] = {}
+    for orders in itertools.product(
+        itertools.permutations(range(a)), itertools.permutations(range(b)), itertools.permutations(range(c))
+    ):
+        perms = AxisPermutations(*orders)
+        first.setdefault(frozenset(incompr_set(apply_permutations(s, perms)).points), perms)
+    # a closure with a proper subclosure contains a minimal one of smaller size
+    minimal: set[frozenset[Triple]] = set()
+    for closure in sorted(first, key=len):
+        if not any(m <= closure for m in minimal):
+            minimal.add(closure)
     best: Optional[float] = None
     best_perms: Optional[AxisPermutations] = None
-    cache: dict[tuple[Triple, ...], float] = {}
-    for pa in itertools.permutations(range(a)):
-        for pb in itertools.permutations(range(b)):
-            for pc in itertools.permutations(range(c)):
-                perms = AxisPermutations(pa, pb, pc)
-                moved = apply_permutations(s, perms)
-                key = incompr_set(moved).points
-                val = cache.get(key)
-                if val is None:
-                    val = zeta(moved, weights, tol)
-                    cache[key] = val
-                if best is None or val < best - 1e-15:
-                    best, best_perms = val, perms
+    for closure, perms in first.items():
+        if closure in minimal:
+            val = zeta(apply_permutations(s, perms), weights, tol)
+            if best is None or val < best - 1e-15:
+                best, best_perms = val, perms
     return OrderMinResult("ok", best, best_perms)

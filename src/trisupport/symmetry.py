@@ -195,7 +195,10 @@ def class_dimension(cls: str, m: int) -> int:
     Tight, Oblique, Free and Ambient are affine dimensions, subvarieties of
     the m^3-dimensional tensor space: Ambient = m^3, Free = 4m^2 - 3m (so
     Free(3) = Ambient(3) = 27), and Tight = Oblique = 3m^2 - 3m plus the
-    size (3m^2 + 3) // 4 of a maximal tight support.
+    size (3m^2 + 3) // 4 of a maximal tight support.  At m = 2 those forms
+    give 9 and 10, above the ambient 8; there all three classes fill the
+    space, since the generic 2x2x2 tensor is equivalent to the unit tensor,
+    which is tight, oblique and free, so all three are 8.
 
     "MaMu" (m = n^2) returns 3m^2 - 3m, the dimension of the projective
     orbit of the matrix multiplication tensor M<n>.  Its affine orbit
@@ -212,6 +215,8 @@ def class_dimension(cls: str, m: int) -> int:
         if n * n != m:
             raise ValueError("MaMu requires m to be a perfect square")
         return 3 * m * m - 3 * m
+    if cls in ("Tight", "Oblique", "Free") and m == 2:
+        return 8
     if cls in ("Tight", "Oblique"):
         return 3 * m * m + (3 * m * m + 3) // 4 - 3 * m
     if cls == "Free":

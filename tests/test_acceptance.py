@@ -106,7 +106,15 @@ def test_criterion_4_stabilizer_and_dimension_formulas():
         assert span_stabilizer_dim(tight_max_support(m)[0]) == 3 * m
         assert span_stabilizer_dim(free_max_support(m)) == 3 * m
     assert class_dimension("MaMu", 4) == 36
-    for m in range(2, 7):
+    # At m = 2 the unit tensor's affine orbit, the effective group dimension
+    # 3m^2 - 2 = 10 minus its annihilator, already has the ambient dimension
+    # 8, so every class holding it fills the space; the closed forms below
+    # would give 9 and 10.
+    unit_orbit = (3 * 2 * 2 - 2) - oracle_annihilator_dim(m_one_sum(2))
+    assert unit_orbit == 8 == class_dimension("Ambient", 2)
+    for cls in ("Tight", "Oblique", "Free"):
+        assert class_dimension(cls, 2) == unit_orbit
+    for m in range(3, 7):
         tight_val = class_dimension("Tight", m)
         assert class_dimension("Oblique", m) == tight_val
         assert tight_val == 3 * m * m + (3 * m * m + 3) // 4 - 3 * m

@@ -2,11 +2,9 @@ import itertools
 import random
 
 import pytest
-from fractions import Fraction
 
 from _oracles import oracle_box_sizes, oracle_multicompressibility, oracle_total_compressibility
 from trisupport.compress import (
-    contracted_flattening_rank,
     find_zero_box,
     multicompressibility,
     slice_cover,
@@ -136,15 +134,3 @@ def test_slice_cover_bounds_slice_decomposition():
     # a cover of the support is a valid slice decomposition certificate
     t = t_std(3)
     assert slice_cover(t.support()).size <= 3
-
-
-def test_contracted_flattening_rank():
-    t = t_std(3)
-    one = Fraction(1)
-    # summing all A-slices of the unit-diagonal-plus-ones tensor:
-    # identity + 3 * all-ones has full rank
-    assert contracted_flattening_rank(t, 0, [one, one, one]) == 3
-    m2 = m_one_sum(2)
-    assert contracted_flattening_rank(m2, 0, [one, Fraction(0)]) == 1
-    with pytest.raises(ValueError):
-        contracted_flattening_rank(m2, 0, [one])

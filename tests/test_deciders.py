@@ -115,14 +115,20 @@ def test_decide_oblique_examples():
     assert decide_oblique(full).status == "not_oblique"
 
 
-def test_decide_oblique_agrees_with_exhaustive_order_oracle():
+def test_decide_oblique_agrees_with_exhaustive_order_oracle(monkeypatch):
+    # free draws with the tight fast path off, so that every draw reaches the
+    # search instead of being settled by is_free or decide_tight
+    monkeypatch.setattr(deciders, "decide_tight", lambda s, seed=0: None)
     rng = random.Random(15)
+    verdicts = set()
     for _ in range(120):
         m = rng.randint(2, 3)
-        s = random_support(rng, Shape(m, m, m), rng.uniform(0.1, 0.6))
+        s = _free_support(rng, Shape(m, m, m), rng.randint(2, m * m))
         res = decide_oblique(s)
-        assert res.status != "unknown"
-        assert (res.status == "oblique") == oracle_oblique(s)
+        assert res.status != "unknown" and res.nodes > 0
+        assert (res.status == "oblique") == oracle_oblique(s), s.triples
+        verdicts.add(res.status)
+    assert verdicts == {"oblique", "not_oblique"}
 
 
 def test_decide_oblique_agrees_with_oracle_on_non_cubical_shapes(monkeypatch):

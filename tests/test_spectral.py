@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from _oracles import downward_closed_sets, oracle_zeta_grid
-from trisupport.constructions import m_one_sum, tight_max_support
-from trisupport.core import Shape, Support
+from trisupport import spectral
+from trisupport.cli import EXIT_UNKNOWN, main
+from trisupport.constructions import coppersmith_winograd, free_max_support, m_one_sum, tight_max_support
+from trisupport.core import Shape, Support, apply_permutations, support_to_obj
 from trisupport.sampling import random_support
 from trisupport.spectral import (
     IncomprSet,
     SpectralWeights,
     SupportDistribution,
+    ZetaUnconverged,
     entropy,
     incompr_set,
     zeta,
@@ -109,9 +114,10 @@ def test_zeta_agrees_with_grid_oracle_on_small_incompr_sets():
         shape = Shape(*(max(t[d] for t in points) + 1 for d in range(3)))
         s = Support(shape, maximal)
         assert incompr_set(s).points == points
-        fast = zeta(s, UNIFORM)
+        res = zeta_full(s, UNIFORM)
+        assert res.gap < 1e-6, (points, res.gap)
         slow = oracle_zeta_grid(points, UNIFORM.as_floats())
-        assert abs(fast - slow) <= 1e-4, (points, fast, slow)
+        assert abs(res.value - slow) <= 1e-4, (points, res.value, slow)
 
 
 def test_zeta_result_distribution_is_consistent():
@@ -144,3 +150,63 @@ def test_zeta_min_over_axis_orders():
     assert res.status == "ok" and abs(res.value - direct) <= 1e-6
     s5, _ = tight_max_support(5)
     assert zeta_min_over_axis_orders(s5, UNIFORM).status == "unknown"
+
+
+def _closure(triples):
+    return frozenset(
+        (x, y, z) for (i, j, k) in triples for x in range(i + 1) for y in range(j + 1) for z in range(k + 1)
+    )
+
+
+def _exhaustive_order_min(s, weights):
+    """Every a! b! c! order, every distinct closure, then zeta: the minimum
+    and the set of all distinct closures."""
+    a, b, c = s.shape
+    values = {}
+    for pa, pb, pc in itertools.product(
+        itertools.permutations(range(a)), itertools.permutations(range(b)), itertools.permutations(range(c))
+    ):
+        moved = tuple((pa[i], pb[j], pc[k]) for (i, j, k) in s.triples)
+        key = _closure(moved)
+        if key not in values:
+            values[key] = zeta(Support(s.shape, moved), weights)
+    return min(values.values()), set(values)
+
+
+def test_zeta_min_over_axis_orders_matches_exhaustive_minimum():
+    catalog = [
+        m_one_sum(3).support(),
+        tight_max_support(3)[0],
+        coppersmith_winograd(2).support(),
+        m_one_sum(2).support(),
+        free_max_support(3),
+        tight_max_support(2)[0],
+    ]
+    rng = random.Random(43)
+    drawn = [random_support(rng, Shape(m, m, m), rng.uniform(0.15, 0.6)) for m in [2] * 20 + [3] * 12]
+    drawn = [s for s in drawn if s.triples]
+    assert len(drawn) >= 30
+    for n, s in enumerate(catalog + drawn):
+        weights = SKEWED if n % 3 == 2 else UNIFORM
+        res = zeta_min_over_axis_orders(s, weights)
+        expected, closures = _exhaustive_order_min(s, weights)
+        assert res.status == "ok" and abs(res.value - expected) <= 1e-6, (s.triples, res.value, expected)
+        moved = apply_permutations(s, res.permutations)
+        chosen = _closure(moved.triples)
+        assert chosen in closures and not any(other < chosen for other in closures), s.triples
+        assert abs(zeta(moved, weights) - res.value) <= 1e-9
+
+
+def test_zeta_full_raises_at_the_iteration_cap(monkeypatch, tmp_path, capsys):
+    s, _ = tight_max_support(3)
+    assert zeta_full(s, UNIFORM).iterations > 1
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
+    with pytest.raises(ZetaUnconverged) as caught:
+        zeta_full(s, UNIFORM)
+    assert caught.value.iterations == 1 and caught.value.gap >= 1e-6
+    path = tmp_path / "tmax3.json"
+    path.write_text(json.dumps(support_to_obj(s)))
+    for extra in ([], ["--min-orders"]):
+        code = main(["zeta", "--in", str(path), "--theta", "1/3", "1/3", "1/3", *extra])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_UNKNOWN and report["result"]["status"] == "unknown"

@@ -201,10 +201,15 @@ def test_class_dimension_closed_forms():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_incidence_dimension_identity(m):
-    # acting-orbit dimension plus support size reproduces the closed forms
+    # acting-orbit dimension plus support size reproduces the closed forms; at
+    # m = 2 that count overshoots the ambient dimension 8, which the classes fill
     s, _ = tight_max_support(m)
-    assert 3 * m * m - 3 * m + len(s) == class_dimension("Tight", m)
-    assert 3 * m * m - 3 * m + len(free_max_support(m)) == class_dimension("Free", m)
+    tight_count = 3 * m * m - 3 * m + len(s)
+    free_count = 3 * m * m - 3 * m + len(free_max_support(m))
+    if m == 2:
+        assert (tight_count, free_count) == (9, 10)
+    assert min(tight_count, m**3) == class_dimension("Tight", m)
+    assert min(free_count, m**3) == class_dimension("Free", m)
 
 
 def test_flattening_rank_and_conciseness():
