@@ -8,7 +8,6 @@ subspace notion, and outputs are labeled accordingly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -27,8 +26,8 @@ class ZeroBox:
         return (len(self.i_set), len(self.j_set), len(self.k_set))
 
     def avoids(self, s: Support) -> bool:
-        box = set(itertools.product(self.i_set, self.j_set, self.k_set))
-        return not box & s.as_set()
+        i_set, j_set, k_set = set(self.i_set), set(self.j_set), set(self.k_set)
+        return not any(i in i_set and j in j_set and k in k_set for i, j, k in s.triples)
 
 
 @dataclass(frozen=True)
@@ -167,14 +166,43 @@ def total_compressibility(s: Support) -> tuple[int, ZeroBox]:
     return sum(box.dims()), box
 
 
+def _grow_zero_box(s: Support, box: ZeroBox, first: int) -> ZeroBox:
+    """Enlarge a zero box to an inclusion-maximal one, axis by axis from
+    `first`.  Each axis gains every index that no triple joins to the other
+    two index sets.  Growing a later axis only shrinks what an earlier one
+    could still gain, so a single pass over the three axes is maximal."""
+    dims = tuple(s.shape)
+    sets = [set(box.i_set), set(box.j_set), set(box.k_set)]
+    for d in (first, (first + 1) % 3, (first + 2) % 3):
+        e, f = (d + 1) % 3, (d + 2) % 3
+        blocked = {t[d] for t in s.triples if t[e] in sets[e] and t[f] in sets[f]}
+        sets[d].update(v for v in range(dims[d]) if v not in blocked)
+    grown = ZeroBox(*(tuple(sorted(v)) for v in sets))
+    if not grown.avoids(s):
+        raise AssertionError("internal: grown box intersects the support")
+    return grown
+
+
 def multicompressibility(s: Support) -> int:
     """Largest r such that every in-range size split (a', b', c') with
     a'+b'+c' = r admits a zero box.  Splits are monotone, so r is scanned
-    upward until some split fails."""
+    upward until some split fails.
+
+    A sub-box of a zero box is a zero box, so a box of dims (x, y, z)
+    witnesses every split componentwise <= (x, y, z), and skipping such
+    splits without a search keeps the answer exact.  Every box a search
+    returns is grown to a maximal zero box once from each starting axis,
+    and the grown dims join the witnesses."""
+    witnesses: list[tuple[int, int, int]] = []
     best = 0
-    while best < sum(s.shape) and all(
-        find_zero_box(s, *sp) is not None for sp in size_splits(s.shape, best + 1)
-    ):
+    while best < sum(s.shape):
+        for x, y, z in size_splits(s.shape, best + 1):
+            if any(x <= u and y <= v and z <= w for u, v, w in witnesses):
+                continue
+            box = find_zero_box(s, x, y, z)
+            if box is None:
+                return best
+            witnesses.extend(_grow_zero_box(s, box, d).dims() for d in range(3))
         best += 1
     return best
 

@@ -82,15 +82,26 @@ class IncomprSet:
 
 
 def incompr_set(s: Support) -> IncomprSet:
-    """All flag triples dominated by some support element."""
-    pts = tuple(
-        (i, j, k)
-        for i in range(s.shape.a)
-        for j in range(s.shape.b)
-        for k in range(s.shape.c)
-        if any(t[0] >= i and t[1] >= j and t[2] >= k for t in s.triples)
-    )
-    return IncomprSet(s.shape, pts)
+    """All flag triples dominated by some support element.
+
+    One downward sweep: a triple is dominated exactly when it is in the
+    support or one of its three successors (i+1, j, k), (i, j+1, k),
+    (i, j, k+1) is dominated."""
+    a, b, c = s.shape
+    members = s.as_set()
+    pts: set[Triple] = set()
+    for i in range(a - 1, -1, -1):
+        for j in range(b - 1, -1, -1):
+            for k in range(c - 1, -1, -1):
+                t = (i, j, k)
+                if (
+                    t in members
+                    or (i + 1, j, k) in pts
+                    or (i, j + 1, k) in pts
+                    or (i, j, k + 1) in pts
+                ):
+                    pts.add(t)
+    return IncomprSet(s.shape, tuple(pts))
 
 
 @dataclass(frozen=True)

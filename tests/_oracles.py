@@ -4,7 +4,8 @@ These deliberately avoid the library's algorithms: the tightness oracle is a
 complete bounded search over integer weightings, the antichain oracle is a
 maximum-independent-set search, the zero-box oracle enumerates every pair of
 first- and second-axis index subsets (sharing no code with
-trisupport.compress), the stabilizer oracle solves the full linear system, the annihilator oracle ranks the dense Leibniz action matrix by plain
+trisupport.compress), the incompressibility-set oracle tests every grid
+triple against every support triple, the stabilizer oracle solves the full linear system, the annihilator oracle ranks the dense Leibniz action matrix by plain
 Fraction elimination (sharing no code with trisupport.linalg or
 trisupport.symmetry), and the functional oracle is a simplex grid sweep.
 """
@@ -216,6 +217,18 @@ def oracle_multicompressibility(s: Support) -> int:
         if dims not in sizes
     }
     return min(missing, default=a + b + c + 1) - 1
+
+
+def oracle_incompr_set(s: Support) -> tuple[Triple, ...]:
+    """Every grid triple that some support triple dominates, each one tested
+    against the whole support."""
+    return tuple(
+        (i, j, k)
+        for i in range(s.shape.a)
+        for j in range(s.shape.b)
+        for k in range(s.shape.c)
+        if any(t[0] >= i and t[1] >= j and t[2] >= k for t in s.triples)
+    )
 
 
 def oracle_span_stabilizer_dim(s: Support) -> int:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from _oracles import oracle_box_sizes, oracle_multicompressibility, oracle_total_compressibility
+from trisupport import compress
 from trisupport.compress import (
     find_zero_box,
     multicompressibility,
@@ -128,6 +129,57 @@ def test_zero_box_searches_match_brute_force_oracle():
         kappa, box = total_compressibility(s)
         assert kappa == oracle_total_compressibility(s) == sum(box.dims())
         assert multicompressibility(s) == oracle_multicompressibility(s)
+
+
+def test_multicompressibility_matches_oracle_past_4x4x4():
+    rng = random.Random(34)
+    for _ in range(30):
+        shp = Shape(rng.randint(4, 6), rng.randint(4, 6), rng.randint(4, 6))
+        s = random_support(rng, shp, rng.uniform(0.1, 0.5))
+        assert multicompressibility(s) == oracle_multicompressibility(s), s
+
+
+def test_grown_zero_boxes_are_maximal():
+    rng = random.Random(35)
+    found = 0
+    for _ in range(60):
+        shp = Shape(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
+        s = random_support(rng, shp, rng.uniform(0.1, 0.6))
+        box = find_zero_box(s, 1, 1, 1)
+        if box is None:
+            continue
+        found += 1
+        for first in range(3):
+            grown = compress._grow_zero_box(s, box, first)
+            sets = [grown.i_set, grown.j_set, grown.k_set]
+            assert all(set(old) <= set(new) for old, new in zip((box.i_set, box.j_set, box.k_set), sets))
+            for axis, n in enumerate(shp):
+                for v in set(range(n)) - set(sets[axis]):
+                    bigger = list(sets)
+                    bigger[axis] = sets[axis] + (v,)
+                    assert not compress.ZeroBox(*bigger).avoids(s)
+    assert found >= 40
+
+
+@pytest.mark.parametrize(
+    "s, value, plain_scan_calls",
+    [
+        (tight_max_support(7)[0], 11, 307),
+        (coppersmith_winograd(3, big=True).support(), 10, 181),
+    ],
+)
+def test_multicompressibility_skips_dominated_splits(monkeypatch, s, value, plain_scan_calls):
+    # a search per split of every level costs plain_scan_calls; grown witnesses
+    # must settle all but a tenth of them
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return find_zero_box(*args)
+
+    monkeypatch.setattr(compress, "find_zero_box", counted)
+    assert multicompressibility(s) == value
+    assert len(calls) <= plain_scan_calls // 10, calls
 
 
 def test_slice_cover_bounds_slice_decomposition():

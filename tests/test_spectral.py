@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import downward_closed_sets, oracle_zeta_grid
+from _oracles import downward_closed_sets, oracle_incompr_set, oracle_zeta_grid
 from trisupport import spectral
 from trisupport.cli import EXIT_UNKNOWN, main
 from trisupport.constructions import coppersmith_winograd, free_max_support, m_one_sum, tight_max_support
@@ -58,6 +58,15 @@ def test_incompr_set_downward_closed():
                     assert down in members
     with pytest.raises(ValueError):
         IncomprSet(Shape(2, 2, 2), ((1, 0, 0),))
+
+
+def test_incompr_set_sweep_matches_oracle():
+    rng = random.Random(42)
+    shapes = [Shape(rng.randint(1, 6), rng.randint(1, 8), rng.randint(1, 10)) for _ in range(40)]
+    shapes += [Shape(6, 8, 10), Shape(10, 1, 3), Shape(1, 1, 1)]
+    for shp in shapes:
+        s = random_support(rng, shp, rng.uniform(0.02, 0.4))
+        assert incompr_set(s).points == oracle_incompr_set(s), s
 
 
 def test_entropy_examples():
