@@ -24,6 +24,7 @@ from .constructions import (
     CATALOG_IDS,
     construct,
     coppersmith_winograd,
+    m_one_sum,
     matmul,
     not_tight_compressible_4,
     oblique_not_tight_4,
@@ -44,7 +45,7 @@ from .core import (
 )
 from .deciders import TightWitness, census_m3, decide_oblique, decide_tight, is_free, max_oblique_size
 from .sampling import generic_tensor_on, random_concise_tensor, random_support
-from .spectral import SpectralWeights, ZetaUnconverged, zeta_full, zeta_min_over_axis_orders
+from .spectral import SpectralWeights, ZetaUnconverged, zeta, zeta_full, zeta_min_over_axis_orders
 from .symmetry import annihilator, check_propagation, class_dimension, span_stabilizer_dim
 
 EXIT_OK = 0
@@ -211,7 +212,10 @@ def _cmd_compress(args) -> dict:
 
 
 def _parse_theta(vals: list[str]) -> SpectralWeights:
-    return SpectralWeights(Fraction(vals[0]), Fraction(vals[1]), Fraction(vals[2]))
+    try:
+        return SpectralWeights(*map(Fraction, vals))
+    except ZeroDivisionError as exc:  # Fraction("1/0")
+        raise ValueError(f"theta {' '.join(vals)} has a zero denominator") from exc
 
 
 def _cmd_zeta(args) -> dict:
@@ -269,116 +273,140 @@ def _cmd_arrange(args) -> dict:
     return out
 
 
-# --- reproduce -------------------------------------------------------------
-
-def _check(name: str, ok: bool, details: dict) -> dict:
-    print(f"[{'ok' if ok else 'FAIL'}] {name}", file=sys.stderr)
-    return {"name": name, "ok": bool(ok), **details}
+# --- reproduce: the acceptance criteria ------------------------------------
+# CRITERIA holds acceptance criteria 1-7 in order.  Each run(seed) draws from its
+# own Random(seed), so its inputs do not depend on the entries run before it.
 
 
-def _cmd_reproduce(args) -> dict:
-    checks: list[dict] = []
-    rng = random.Random(args.seed)
+class CriterionFailed(Exception):
+    """A claim checked by one CRITERIA entry does not hold."""
 
-    rep = census_m3(seed=args.seed)
-    checks.append(
-        _check(
-            "census counts 144/80/13, all orbit representatives tight",
-            rep.maximal_count == 144
-            and rep.concise_count == 80
-            and rep.orbit_count == 13
-            and sum(rep.orbit_sizes) == 80
-            and all(w is not None and w.certifies(r) for r, w in zip(rep.representatives, rep.witnesses)),
-            {
-                "maximal": rep.maximal_count,
-                "concise": rep.concise_count,
-                "orbits": rep.orbit_count,
-            },
-        )
-    )
 
-    dims_ok = True
-    dim_rows = []
-    for m in range(2, 7):
-        tight_d = class_dimension("Tight", m)
-        free_d = class_dimension("Free", m)
-        # the incidence count overshoots the ambient m^3 at m = 2
-        expect_tight = min(3 * m * m - 3 * m + len(tight_max_support(m)[0]), m**3)
-        expect_free = min(3 * m * m - 3 * m + len(free_max_support(m)), m**3)
-        dims_ok = dims_ok and tight_d == expect_tight and free_d == expect_free
-        dim_rows.append({"m": m, "Tight": tight_d, "Oblique": class_dimension("Oblique", m), "Free": free_d})
-    dims_ok = dims_ok and class_dimension("MaMu", 4) == 36 and class_dimension("Ambient", 3) == 27
-    checks.append(_check("class dimension closed forms vs catalog support sizes", dims_ok, {"rows": dim_rows}))
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CriterionFailed(message)
 
-    sizes_ok = True
+
+def _census_criterion(seed: int) -> dict:
+    rep = census_m3(seed=seed)
+    counts = {"maximal": rep.maximal_count, "concise": rep.concise_count, "orbits": rep.orbit_count}
+    _require(list(counts.values()) == [144, 80, 13] and sum(rep.orbit_sizes) == 80, f"census {counts}, {rep.orbit_sizes}")
+    certified = all(w is not None and w.certifies(r) for r, w in zip(rep.representatives, rep.witnesses))
+    _require(certified, "an orbit representative is not certified tight")
+    return counts
+
+
+def _maximal_supports_criterion(seed: int) -> dict:
     for m in range(2, 9):
         s, w = tight_max_support(m)
+        found = decide_tight(s, seed=seed)
+        _require(len(s) == (3 * m * m + 3) // 4 and w.certifies(s), f"t-max({m}) has the wrong size or certificate")
+        _require(found is not None and found.certifies(s), f"decide_tight does not certify t-max({m})")
         f = free_max_support(m)
-        sizes_ok = (
-            sizes_ok
-            and len(s) == (3 * m * m + 3) // 4
-            and w.certifies(s)
-            and decide_tight(s, seed=args.seed) is not None
-            and len(f) == m * m
-            and is_free(f)
-        )
-    checks.append(_check("maximal tight/free supports, sizes and certificates (m=2..8)", sizes_ok, {}))
+        _require(len(f) == m * m and is_free(f), f"f-max({m}) is not a free support of size {m * m}")
+    return {}
 
-    comp_ok = True
-    for m in range(3, 8):
-        s, w = tight_max_support(m)
+
+def _annihilator_criterion(seed: int) -> dict:
+    rng = random.Random(seed)
+    for m in (3, 4, 5):
+        generic = annihilator(generic_tensor_on(tight_max_support(m)[0], rng)).annihilator_dim
+        _require(generic == 1, f"generic tensor on t-max({m}): annihilator {generic}, expected 1")
+        _require(annihilator(t_std(m)).annihilator_dim == 0, f"t_std({m}) has a nonzero annihilator")
+    for t in (oblique_not_tight_4(), not_tight_compressible_4()):
+        _require(annihilator(t).annihilator_dim == 0, "a 4x4x4 counterexample has a nonzero annihilator")
+    # matmul(n) has 3(n^2 - 1) symmetries; the effective group has dimension 3m^2 - 2 (m = n^2 = 4), so
+    # the affine orbit of M<2> is one dimension above the projective one that class_dimension("MaMu", 4) counts
+    matmul2_dim = annihilator(matmul(2)).annihilator_dim
+    ok = matmul2_dim == 9 and (3 * 16 - 2) - matmul2_dim == class_dimension("MaMu", 4) + 1
+    _require(ok, f"matmul(2): annihilator {matmul2_dim}, expected 9 = 3m^2 - 2 - (MaMu(4) + 1)")
+    return {"matmul2_dim": matmul2_dim, "matmul2_expected": 9}
+
+
+def _class_dimension_criterion(seed: int) -> dict:
+    for m in (3, 4, 5):
+        dims = (span_stabilizer_dim(tight_max_support(m)[0]), span_stabilizer_dim(free_max_support(m)))
+        _require(dims == (3 * m, 3 * m), f"span stabilizers of t-max({m}), f-max({m}): {dims}, expected {3 * m}")
+    # at m = 2 the unit tensor's affine orbit, 3m^2 - 2 = 10 minus its annihilator, fills the ambient space
+    unit_orbit = 10 - annihilator(m_one_sum(2)).annihilator_dim
+    at_two = [class_dimension(cls, 2) for cls in ("Tight", "Oblique", "Free", "Ambient")]
+    _require(at_two == [unit_orbit] * 4, f"class dimensions {at_two} at m = 2, unit tensor orbit {unit_orbit}")
+    rows = [{"m": m, **{cls: class_dimension(cls, m) for cls in ("Tight", "Oblique", "Free")}} for m in range(2, 7)]
+    _require(all(row["Oblique"] == row["Tight"] for row in rows), f"Oblique differs from Tight: {rows}")
+    return {"unit_orbit_m2": unit_orbit, "rows": rows}
+
+
+def _compressibility_criterion(seed: int) -> dict:
+    rng = random.Random(seed)
+    rep = census_m3(seed=seed)
+    # sorted by its weighting, a tight support of the m-cube misses a half box
+    for s, w in [tight_max_support(m) for m in range(3, 8)] + list(zip(rep.representatives, rep.witnesses)):
+        hi, lo = (s.shape.a + 1) // 2, s.shape.a // 2
         ss = apply_permutations(s, w.sorting_permutations())
-        want = ((m + 1) // 2, (m + 1) // 2, m // 2)
-        splits = {want, (want[0], want[2], want[1]), (want[2], want[0], want[1])}
-        comp_ok = comp_ok and any(find_zero_box(ss, *p) is not None for p in splits)
-    for m in range(3, 7):
-        comp_ok = comp_ok and multicompressibility(tight_max_support(m)[0]) >= 3 * (m // 2) + 1
-    for q in (1, 2):
-        comp_ok = comp_ok and multicompressibility(coppersmith_winograd(q).support()) >= 2 * q + 1
-        comp_ok = comp_ok and multicompressibility(coppersmith_winograd(q, big=True).support()) >= 2 * q + 3
-    comp_ok = comp_ok and multicompressibility(not_tight_compressible_4().support()) >= 6
-    duality_ok = True
+        splits = {(hi, hi, lo), (hi, lo, hi), (lo, hi, hi)}
+        _require(any(find_zero_box(ss, *p) is not None for p in splits), f"sorted {s.triples} misses no half box")
+    bounds = [(tight_max_support(m)[0], 3 * (m // 2) + 1) for m in range(3, 7)]
+    bounds += [(coppersmith_winograd(q).support(), 2 * q + 1) for q in (1, 2)]
+    bounds += [(coppersmith_winograd(q, big=True).support(), 2 * q + 3) for q in (1, 2)]
+    bounds.append((not_tight_compressible_4().support(), 6))
+    for s, bound in bounds:
+        _require(multicompressibility(s) >= bound, f"multicompressibility of {s.triples} is below {bound}")
     for _ in range(100):
         shp = Shape(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4))
         s = random_support(rng, shp, rng.uniform(0.15, 0.8))
         kappa, box = total_compressibility(s)
+        _require(slice_cover(s).size + kappa == shp.a + shp.b + shp.c, f"cover duality fails on {s.triples} in {shp}")
         # the other engine confirms the box, and by monotonicity that no larger one exists
-        duality_ok = (
-            duality_ok
-            and slice_cover(s).size + kappa == shp.a + shp.b + shp.c
-            and find_zero_box(s, *box.dims()) is not None
-            and all(find_zero_box(s, *sp) is None for sp in size_splits(shp, kappa + 1))
-        )
-    checks.append(_check("compressibility: boxes, multicompressibility bounds, cover duality", comp_ok and duality_ok, {}))
+        larger = [sp for sp in size_splits(shp, kappa + 1) if find_zero_box(s, *sp) is not None]
+        _require(find_zero_box(s, *box.dims()) is not None and not larger, f"kappa {kappa} of {s.triples} is not maximal")
+    return {}
 
-    prop_ok = True
+
+def _support_functional_criterion(seed: int) -> dict:
+    uniform = SpectralWeights.uniform()
+    for r in range(1, 6):
+        for theta in (uniform, SpectralWeights(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), SpectralWeights(1, 0, 0)):
+            value = zeta(m_one_sum(r).support(), theta)
+            _require(abs(value - r) <= 1e-6, f"zeta of m1-sum({r}) at {theta} is {value}, expected {r}")
+    two_point = zeta(Support(Shape(2, 2, 2), ((0, 0, 0), (1, 1, 0))), uniform)
+    _require(abs(two_point - 2 ** (2 / 3)) <= 1e-4, f"two-point zeta is {two_point}, expected 2^(2/3)")
+    return {"two_point": two_point}
+
+
+def _propagation_criterion(seed: int) -> dict:
+    rng = random.Random(seed)
     for _ in range(10):
         t1 = random_concise_tensor(rng, Shape(rng.randint(2, 3), rng.randint(2, 3), rng.randint(2, 3)))
         t2 = random_concise_tensor(rng, Shape(rng.randint(2, 3), rng.randint(2, 3), rng.randint(2, 3)))
-        pr = check_propagation(t1, t2)
-        prop_ok = prop_ok and pr.sum_is_additive and pr.product_contains_factors and pr.zero_factors_give_zero_product
-    pr = check_propagation(t_std(3), t_std(3))
-    prop_ok = prop_ok and pr.dim_kronecker == 0 and pr.sum_is_additive
-    checks.append(_check("symmetry propagation under direct sum and Kronecker product", prop_ok, {}))
+        prop = check_propagation(t1, t2)
+        ok = prop.sum_is_additive and prop.product_contains_factors and prop.zero_factors_give_zero_product
+        _require(ok, f"propagation fails for tensors of shapes {t1.shape} and {t2.shape}")
+    prop = check_propagation(t_std(3), t_std(3))
+    dims = (prop.dim_first, prop.dim_second, prop.dim_direct_sum, prop.dim_kronecker)
+    ok = dims == (0, 0, 0, 0) and prop.sum_is_additive and prop.zero_factors_give_zero_product
+    _require(ok, f"t_std(3) with itself: annihilators {dims}, or propagation fails")
+    return {}
 
-    ann_ok = True
-    for m in (3, 4, 5):
-        s, _ = tight_max_support(m)
-        ann_ok = ann_ok and annihilator(generic_tensor_on(s, rng)).annihilator_dim == 1
-        ann_ok = ann_ok and annihilator(t_std(m)).annihilator_dim == 0
-    for t in (oblique_not_tight_4(), not_tight_compressible_4()):
-        ann_ok = ann_ok and annihilator(t).annihilator_dim == 0
-    # 9 = 3(n^2 - 1) at n = 2, the value acceptance criterion 3 asserts
-    matmul2_dim = annihilator(matmul(2)).annihilator_dim
-    ann_ok = ann_ok and matmul2_dim == 9
-    checks.append(
-        _check(
-            "annihilator dimensions of catalog tensors",
-            ann_ok,
-            {"matmul2_dim": matmul2_dim, "matmul2_expected": 9},
-        )
-    )
 
+CRITERIA = (
+    ("census counts 144/80/13, all orbit representatives tight", _census_criterion),
+    ("maximal tight/free supports, sizes and certificates (m=2..8)", _maximal_supports_criterion),
+    ("annihilator dimensions of catalog tensors", _annihilator_criterion),
+    ("class dimensions: span stabilizers, the m=2 unit orbit, oblique = tight", _class_dimension_criterion),
+    ("compressibility: boxes, multicompressibility bounds, cover duality", _compressibility_criterion),
+    ("support functional: normalization and the two-point value", _support_functional_criterion),
+    ("symmetry propagation under direct sum and Kronecker product", _propagation_criterion),
+)
+
+
+def _cmd_reproduce(args) -> dict:
+    checks: list[dict] = []
+    for name, run in CRITERIA:
+        try:
+            checks.append({"name": name, "ok": True, **run(args.seed)})
+        except CriterionFailed as exc:
+            checks.append({"name": name, "ok": False, "failed": str(exc)})
+        print(f"[{'ok' if checks[-1]['ok'] else 'FAIL'}] {name}", file=sys.stderr)
     return {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
 
 

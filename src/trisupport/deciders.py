@@ -159,6 +159,8 @@ def decide_oblique(s: Support, budget: int = 10_000_000, seed: int = 0) -> Obliq
     those edges.  The search is exhaustive, so "not_oblique" is exact;
     "unknown" occurs only when the node budget is exhausted.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if not is_free(s):
         return ObliqueResult("not_oblique", None, 0)
 

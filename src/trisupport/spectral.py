@@ -161,7 +161,7 @@ def zeta_full(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> ZetaRe
 
     Raises ZetaUnconverged when MAX_ITERATIONS steps leave the gap at or
     above 1e-6."""
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN, which no improvement would fall below
         raise ValueError("tol must be positive")
     phi = incompr_set(s)
     if not phi.points:

@@ -1,6 +1,6 @@
 import json
 
-from trisupport.cli import EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
+from trisupport.cli import CRITERIA, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
 from trisupport.core import support_from_json, tensor_from_json
 
 
@@ -55,6 +55,17 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     code = main(["construct", "t-max"])
     capsys.readouterr()
     assert code == EXIT_INVALID
+    support_file = tmp_path / "d2.json"
+    run(capsys, "construct", "m1-sum", "2", "--out", str(support_file))
+    for argv in (
+        ["zeta", "--theta", "1/0", "0", "1"],
+        ["zeta", "--theta", "1/3", "1/3", "1/3", "--tol", "nan"],
+        ["decide", "oblique", "--budget", "-5"],
+    ):
+        code = main(argv + ["--in", str(support_file)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID, argv
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_malformed_json_exits_invalid_without_traceback(tmp_path, capsys):
@@ -164,9 +175,38 @@ def test_reproduce_runs_and_is_deterministic(capsys):
     assert code == EXIT_OK
     assert rep1["result"]["all_ok"] is True
     names = [c["name"] for c in rep1["result"]["checks"]]
-    assert len(names) == len(set(names)) >= 6
+    assert names == [name for name, _ in CRITERIA] and len(set(names)) == len(names)
     code, rep2 = run(capsys, "reproduce")
     assert rep2["result"] == rep1["result"]
+
+
+def test_reproduce_reports_a_failed_criterion_and_runs_the_rest(monkeypatch, capsys):
+    import trisupport.cli as cli
+
+    ran = []
+
+    def entry(name, fails=False):
+        def run_entry(seed):
+            ran.append(name)
+            if fails:
+                raise cli.CriterionFailed("simulated failed claim")
+            return {"seed": seed}
+
+        return name, run_entry
+
+    monkeypatch.setattr(cli, "CRITERIA", (entry("a"), entry("b", fails=True), entry("c")))
+    main(["reproduce", "--seed", "5"])
+    captured = capsys.readouterr()
+    assert ran == ["a", "b", "c"]
+    assert json.loads(captured.out)["result"] == {
+        "checks": [
+            {"name": "a", "ok": True, "seed": 5},
+            {"name": "b", "ok": False, "failed": "simulated failed claim"},
+            {"name": "c", "ok": True, "seed": 5},
+        ],
+        "all_ok": False,
+    }
+    assert "[FAIL] b" in captured.err and "Traceback" not in captured.err
 
 
 def test_report_shape_and_determinism(tmp_path, capsys):

@@ -204,6 +204,8 @@ def test_decide_oblique_budget_exhaustion_is_unknown():
     # not-free inputs are refuted without search regardless of budget
     bad = Support(Shape(2, 2, 2), ((0, 0, 0), (0, 0, 1)))
     assert decide_oblique(bad, budget=0).status == "not_oblique"
+    with pytest.raises(ValueError):
+        decide_oblique(s, budget=-1)
 
 
 def test_max_oblique_size_formulas():

@@ -104,8 +104,9 @@ def test_zeta_rejects_empty_and_bad_tol():
     s = Support(Shape(2, 2, 2), ())
     with pytest.raises(ValueError):
         zeta(s, UNIFORM)
-    with pytest.raises(ValueError):
-        zeta(m_one_sum(2).support(), UNIFORM, tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            zeta(m_one_sum(2).support(), UNIFORM, tol=tol)
 
 
 def test_zeta_agrees_with_grid_oracle_on_small_incompr_sets():
