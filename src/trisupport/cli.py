@@ -1,8 +1,9 @@
 """Command-line interface: JSON in, JSON out, deterministic given --seed.
 
-Exit codes: 0 decided/ok, 1 invalid input, 2 unknown (budget or scope gate),
-3 internal invariant violation.  Results go to stdout as a run report;
-human-readable logs go to stderr; --out writes the result payload to a file.
+Exit codes: 0 decided/ok, 1 invalid input or usage, 2 unknown (budget or
+scope gate), 3 internal invariant violation or a failed reproduce criterion.
+Results go to stdout as a run report; human-readable logs go to stderr;
+--out writes the result payload to a file.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def _cmd_zeta(args) -> dict:
     s = _read_support(args.infile)
     weights = _parse_theta(args.theta)
     try:
-        res = (zeta_min_over_axis_orders if args.min_orders else zeta_full)(s, weights, tol=args.tol)
+        res = (zeta_min_over_axis_orders if args.min_orders else zeta_full)(s, weights)
     except ZetaUnconverged as exc:
         raise UnknownResult(
             {"status": "unknown", "reason": "ascent iteration cap", "gap": exc.gap, "iterations": exc.iterations}
@@ -407,7 +408,9 @@ def _cmd_reproduce(args) -> dict:
         except CriterionFailed as exc:
             checks.append({"name": name, "ok": False, "failed": str(exc)})
         print(f"[{'ok' if checks[-1]['ok'] else 'FAIL'}] {name}", file=sys.stderr)
-    return {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
+    all_ok = all(c["ok"] for c in checks)
+    # a failed paper claim still prints the whole report, then exits like a broken invariant
+    return {"checks": checks, "all_ok": all_ok, "_exit_code": EXIT_OK if all_ok else EXIT_INTERNAL}
 
 
 # --- driver ----------------------------------------------------------------
@@ -477,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--theta", nargs=3, required=True, metavar=("TA", "TB", "TC"))
     p.add_argument("--min-orders", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_zeta)
 
     p = add("arrange", help="line arrangement from a weighting witness")
@@ -503,8 +505,10 @@ def _input_digests(args) -> dict[str, str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_INVALID if exc.code else EXIT_OK
     started = time.time()
     code = EXIT_OK
     try:
@@ -520,6 +524,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    code = result.pop("_exit_code", code)
     file_payload = result.pop("_file_payload", result)
     report = {
         "command": argv,

@@ -9,7 +9,8 @@ subspace notion, and outputs are labeled accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import or_
+from typing import Callable, Iterator, Optional
 
 from .core import Shape, Support
 
@@ -47,14 +48,36 @@ class SliceCover:
         )
 
 
+def _first_subset(cands: list[int], w: int, acc, extend: Callable, finish: Callable):
+    """First w-subset of cands, in depth-first order of positions, that finish
+    accepts.  Picking v turns the accumulated acc into extend(acc, v), or
+    prunes the pick when that is None; finish(chosen, acc) returns the answer,
+    or None to keep searching."""
+
+    def dfs(start: int, chosen: tuple[int, ...], acc):
+        if len(chosen) == w:
+            return finish(tuple(sorted(chosen)), acc)
+        for pos in range(start, len(cands) - w + len(chosen) + 1):
+            nxt = extend(acc, cands[pos])
+            if nxt is not None:
+                found = dfs(pos + 1, chosen + (cands[pos],), nxt)
+                if found is not None:
+                    return found
+        return None
+
+    return dfs(0, (), acc)
+
+
 def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
     """Exact search for index subsets I, J, K of the requested sizes with
     (I x J x K) disjoint from the support; None proves there are none.
 
-    Axes are processed in increasing target size; the smallest target is
-    enumerated by subset backtracking, the other two by a biclique search on
-    the pairs left unblocked.  Within an axis, indices are tried in ascending
-    occupancy so sparse slices are used first.
+    Axes are processed in increasing target size, as values v0, v1, v2.  One
+    subset search picks the v0, accumulating for each v1 the bitmask of v2
+    a triple joins to the picks and v1; the same search then picks v1 whose
+    masks leave at least w2 values v2 free, and the w2 sparsest free v2
+    close the box.  Within an axis, indices are tried in ascending occupancy
+    so sparse slices are used first.
     """
     dims = tuple(s.shape)
     targets = (a1, b1, c1)
@@ -62,81 +85,32 @@ def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
         if not 0 <= want <= have:
             raise ValueError(f"requested box {targets} exceeds shape {dims}")
 
-    order = sorted(range(3), key=lambda d: (targets[d], d))
-    d0, d1, d2 = order
-
-    occupancy = [[0] * dims[d] for d in range(3)]
+    axes = sorted(range(3), key=lambda d: (targets[d], d))
+    d0, d1, d2 = axes
+    w0, w1, w2 = targets[d0], targets[d1], targets[d2]
+    occupancy = [[0] * n for n in dims]
+    masks = [[0] * dims[d1] for _ in range(dims[d0])]
     for t in s.triples:
         for d in range(3):
             occupancy[d][t[d]] += 1
+        masks[t[d0]][t[d1]] |= 1 << t[d2]
+    order = [sorted(range(n), key=lambda v: (occupancy[d][v], v)) for d, n in enumerate(dims)]
 
-    # triples re-expressed in processing order (v0, v1, v2)
-    tris = [(t[d0], t[d1], t[d2]) for t in s.triples]
-    n0, n1, n2 = dims[d0], dims[d1], dims[d2]
-    w0, w1, w2 = targets[d0], targets[d1], targets[d2]
-    by_v0: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
-    for v0, v1, v2 in tris:
-        by_v0[v0].append((v1, v2))
+    def second_axis(picked0: tuple[int, ...], blocked: tuple[int, ...]):
+        def extend(used: int, v1: int) -> Optional[int]:
+            used |= blocked[v1]
+            return used if used.bit_count() <= dims[d2] - w2 else None
 
-    cand0 = sorted(range(n0), key=lambda v: (occupancy[d0][v], v))
+        def finish(picked1: tuple[int, ...], used: int) -> ZeroBox:
+            free = tuple(sorted([v for v in order[d2] if not used >> v & 1][:w2]))
+            sets = dict(zip(axes, (picked0, picked1, free)))
+            return ZeroBox(sets[0], sets[1], sets[2])
 
-    def biclique(blocked: set[tuple[int, int]]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        allowed = [set(range(n2)) for _ in range(n1)]
-        for v1, v2 in blocked:
-            allowed[v1].discard(v2)
-        cand1 = sorted(
-            (v for v in range(n1) if len(allowed[v]) >= w2),
-            key=lambda v: (occupancy[d1][v], v),
-        )
+        cand1 = [v for v in order[d1] if extend(0, v) is not None]
+        return _first_subset(cand1, w1, 0, extend, finish)
 
-        chosen: list[int] = []
-
-        def grow(start: int, common: set[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-            if len(chosen) == w1:
-                picked = sorted(common, key=lambda v: (occupancy[d2][v], v))[:w2]
-                return tuple(sorted(chosen)), tuple(sorted(picked))
-            for pos in range(start, len(cand1)):
-                if len(cand1) - pos < w1 - len(chosen):
-                    return None
-                v = cand1[pos]
-                nxt = common & allowed[v]
-                if len(nxt) < w2:
-                    continue
-                chosen.append(v)
-                res = grow(pos + 1, nxt)
-                chosen.pop()
-                if res is not None:
-                    return res
-            return None
-
-        return grow(0, set(range(n2)))
-
-    picked0: list[int] = []
-
-    def pick0(start: int, blocked: set[tuple[int, int]]) -> Optional[ZeroBox]:
-        if len(picked0) == w0:
-            rest = biclique(blocked)
-            if rest is None:
-                return None
-            out = [None, None, None]
-            out[d0] = tuple(sorted(picked0))
-            out[d1], out[d2] = rest
-            return ZeroBox(*out)  # type: ignore[arg-type]
-        for pos in range(start, len(cand0)):
-            if len(cand0) - pos < w0 - len(picked0):
-                return None
-            v = cand0[pos]
-            added = [p for p in by_v0[v] if p not in blocked]
-            picked0.append(v)
-            blocked.update(added)
-            res = pick0(pos + 1, blocked)
-            blocked.difference_update(added)
-            picked0.pop()
-            if res is not None:
-                return res
-        return None
-
-    box = pick0(0, set())
+    block = lambda blocked, v0: tuple(map(or_, blocked, masks[v0]))  # noqa: E731
+    box = _first_subset(order[d0], w0, (0,) * dims[d1], block, second_axis)
     if box is not None and not box.avoids(s):
         raise AssertionError("internal: returned box intersects the support")
     return box
@@ -211,44 +185,44 @@ def slice_cover(s: Support) -> SliceCover:
     """Minimum cover of the support by axis slices, by exact branch and bound.
 
     Every triple lies in exactly three slices, so branching on an uncovered
-    triple has factor three; a greedy cover seeds the upper bound.
+    triple has factor three; a greedy cover seeds the upper bound.  Sets of
+    triples are bitmasks over their positions in the support.
     """
     triples = list(s.triples)
     if not triples:
         return SliceCover(())
-    slices: dict[tuple[int, int], set[int]] = {}
+    slices: dict[tuple[int, int], int] = {}
     for idx, t in enumerate(triples):
         for axis in range(3):
-            slices.setdefault((axis, t[axis]), set()).add(idx)
+            slices[axis, t[axis]] = slices.get((axis, t[axis]), 0) | 1 << idx
 
     # greedy upper bound
-    uncovered = set(range(len(triples)))
+    uncovered = (1 << len(triples)) - 1
     greedy: list[tuple[int, int]] = []
     while uncovered:
-        sl = max(sorted(slices), key=lambda key: len(slices[key] & uncovered))
+        sl = max(sorted(slices), key=lambda key: (slices[key] & uncovered).bit_count())
         greedy.append(sl)
-        uncovered -= slices[sl]
+        uncovered &= ~slices[sl]
     best: list[tuple[int, int]] = sorted(greedy)
-    max_cover = max(len(v) for v in slices.values())
+    max_cover = max(v.bit_count() for v in slices.values())
 
-    def dfs(uncov: set[int], chosen: list[tuple[int, int]]) -> None:
+    def dfs(uncov: int, chosen: list[tuple[int, int]]) -> None:
         nonlocal best
         if not uncov:
             if len(chosen) < len(best):
                 best = sorted(chosen)
             return
-        lower = len(chosen) + -(-len(uncov) // max_cover)
+        lower = len(chosen) + -(-uncov.bit_count() // max_cover)
         if lower >= len(best):
             return
-        pivot = min(uncov)
-        t = triples[pivot]
+        t = triples[(uncov & -uncov).bit_length() - 1]
         for axis in range(3):
             key = (axis, t[axis])
             chosen.append(key)
-            dfs(uncov - slices[key], chosen)
+            dfs(uncov & ~slices[key], chosen)
             chosen.pop()
 
-    dfs(set(range(len(triples))), [])
+    dfs((1 << len(triples)) - 1, [])
     cover = SliceCover(tuple(best))
     if not cover.covers(s):
         raise AssertionError("internal: cover search returned a non-cover")

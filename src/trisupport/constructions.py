@@ -7,7 +7,7 @@ Every constructor is pure and exact.  Index conventions: everything is
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import Shape, Support, Tensor, Triple
 from .deciders import TightWitness
@@ -175,43 +175,30 @@ def not_tight_compressible_4() -> Tensor:
 
 # --- catalog dispatch used by the CLI -------------------------------------
 
-CATALOG_IDS = (
-    "t-max",
-    "f-max",
-    "matmul",
-    "m1-sum",
-    "t-std",
-    "cw-small",
-    "cw-big",
-    "oblique-not-tight-4",
-    "not-tight-compressible-4",
-)
+# id -> (constructor, whether it takes the size parameter), in the order the CLI lists them
+CATALOG: dict[str, tuple[Callable, bool]] = {
+    "t-max": (tight_max_support, True),
+    "f-max": (free_max_support, True),
+    "matmul": (matmul, True),
+    "m1-sum": (m_one_sum, True),
+    "t-std": (t_std, True),
+    "cw-small": (coppersmith_winograd, True),
+    "cw-big": (lambda q: coppersmith_winograd(q, big=True), True),
+    "oblique-not-tight-4": (oblique_not_tight_4, False),
+    "not-tight-compressible-4": (not_tight_compressible_4, False),
+}
+CATALOG_IDS = tuple(CATALOG)
 
 
 def construct(catalog_id: str, param: Optional[int] = None) -> Tensor | tuple[Support, TightWitness] | Support:
     """Build a catalog entry by name.  Parametrized ids require param >= 1."""
-    needs_param = {"t-max", "f-max", "matmul", "m1-sum", "t-std", "cw-small", "cw-big"}
-    if catalog_id in needs_param:
-        if param is None:
-            raise ValueError(f"catalog id {catalog_id!r} requires a parameter")
-        if param < 1:
-            raise ValueError("parameter must be a positive integer")
-    if catalog_id == "t-max":
-        return tight_max_support(param)
-    if catalog_id == "f-max":
-        return free_max_support(param)
-    if catalog_id == "matmul":
-        return matmul(param)
-    if catalog_id == "m1-sum":
-        return m_one_sum(param)
-    if catalog_id == "t-std":
-        return t_std(param)
-    if catalog_id == "cw-small":
-        return coppersmith_winograd(param, big=False)
-    if catalog_id == "cw-big":
-        return coppersmith_winograd(param, big=True)
-    if catalog_id == "oblique-not-tight-4":
-        return oblique_not_tight_4()
-    if catalog_id == "not-tight-compressible-4":
-        return not_tight_compressible_4()
-    raise ValueError(f"unknown catalog id {catalog_id!r}; known: {', '.join(CATALOG_IDS)}")
+    if catalog_id not in CATALOG:
+        raise ValueError(f"unknown catalog id {catalog_id!r}; known: {', '.join(CATALOG_IDS)}")
+    build, sized = CATALOG[catalog_id]
+    if not sized:
+        return build()
+    if param is None:
+        raise ValueError(f"catalog id {catalog_id!r} requires a parameter")
+    if param < 1:
+        raise ValueError("parameter must be a positive integer")
+    return build(param)

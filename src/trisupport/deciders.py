@@ -69,15 +69,9 @@ class TightWitness:
 
 
 def is_free(s: Support) -> bool:
-    """True iff every pair of distinct triples differs in at least two entries."""
-    ts = s.triples
-    for x in range(len(ts)):
-        i1, j1, k1 = ts[x]
-        for y in range(x + 1, len(ts)):
-            i2, j2, k2 = ts[y]
-            if (i1 == i2) + (j1 == j2) + (k1 == k2) >= 2:
-                return False
-    return True
+    """True iff every pair of distinct triples differs in at least two entries,
+    that is, iff forgetting any one axis keeps the triples distinct."""
+    return all(len({t[:d] + t[d + 1:] for t in s.triples}) == len(s) for d in range(3))
 
 
 def is_antichain(s: Support) -> bool:

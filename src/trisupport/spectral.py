@@ -29,6 +29,8 @@ from .core import AxisPermutations, Shape, Support, Triple, apply_permutations
 LOG_FLOOR = 1e-300
 # steps zeta_full takes before it gives up with ZetaUnconverged
 MAX_ITERATIONS = 100_000
+# zeta_full stops once a step improves the objective by less than this and the gap is below 1e-6
+TOLERANCE = 1e-9
 # largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
 ORDER_MAX_DIM = 4
 
@@ -155,14 +157,12 @@ class ZetaUnconverged(RuntimeError):
         self.iterations = iterations
 
 
-def zeta_full(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> ZetaResult:
+def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     """Maximize the weighted marginal entropy over distributions on the
     incompressibility set and return 2**maximum with a certificate gap.
 
     Raises ZetaUnconverged when MAX_ITERATIONS steps leave the gap at or
     above 1e-6."""
-    if not tol > 0:  # also refuses NaN, which no improvement would fall below
-        raise ValueError("tol must be positive")
     phi = incompr_set(s)
     if not phi.points:
         raise ValueError("empty support has no incompressibility set")
@@ -215,7 +215,7 @@ def zeta_full(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> ZetaRe
             raise AssertionError("internal: ascent step decreased the objective")
         improvement = f_new - f
         p, logq, f = cand, cand_logq, max(f, f_new)
-        if improvement < tol and gap < 1e-6:
+        if improvement < TOLERANCE and gap < 1e-6:
             break
     else:
         if gap >= 1e-6:
@@ -234,8 +234,8 @@ def zeta_full(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> ZetaRe
     )
 
 
-def zeta(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> float:
-    return zeta_full(s, weights, tol).value
+def zeta(s: Support, weights: SpectralWeights) -> float:
+    return zeta_full(s, weights).value
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ class OrderMinResult:
     permutations: Optional[AxisPermutations]
 
 
-def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights, tol: float = 1e-9) -> OrderMinResult:
+def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinResult:
     """Minimum of the functional over all axis reorderings (coordinate flags
     only).
 
@@ -273,7 +273,7 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights, tol: float =
     best_perms: Optional[AxisPermutations] = None
     for closure, perms in first.items():
         if closure in minimal:
-            val = zeta(apply_permutations(s, perms), weights, tol)
+            val = zeta(apply_permutations(s, perms), weights)
             if best is None or val < best - 1e-15:
                 best, best_perms = val, perms
     return OrderMinResult("ok", best, best_perms)

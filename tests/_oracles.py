@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 These deliberately avoid the library's algorithms: the tightness oracle is a
-complete bounded search over integer weightings, the antichain oracle is a
-maximum-independent-set search, the zero-box oracle enumerates every pair of
-first- and second-axis index subsets (sharing no code with
-trisupport.compress), the incompressibility-set oracle tests every grid
-triple against every support triple, the stabilizer oracle solves the full linear system, the annihilator oracle ranks the dense Leibniz action matrix by plain
-Fraction elimination (sharing no code with trisupport.linalg or
+complete bounded search over integer weightings, the freeness oracle compares
+every pair of triples, the antichain oracle is a maximum-independent-set
+search, the zero-box oracle enumerates every pair of first- and second-axis
+index subsets (sharing no code with trisupport.compress), the
+incompressibility-set oracle tests every grid triple against every support
+triple, the stabilizer and annihilator oracles rank their full dense systems
+by plain Fraction elimination (sharing no code with trisupport.linalg or
 trisupport.symmetry), and the functional oracle is a simplex grid sweep.
 """
 
@@ -17,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from trisupport import linalg
 from trisupport.core import Shape, Support, Tensor, Triple
 
 SEARCH_BOUND = 12
@@ -135,6 +135,18 @@ def oracle_tight(s: Support, bound: int = SEARCH_BOUND) -> bool:
     return _search(ordered, bound)
 
 
+def oracle_free(s: Support) -> bool:
+    """Freeness by comparing every pair of triples: no two share two coordinates."""
+    ts = s.triples
+    for x in range(len(ts)):
+        i1, j1, k1 = ts[x]
+        for y in range(x + 1, len(ts)):
+            i2, j2, k2 = ts[y]
+            if (i1 == i2) + (j1 == j2) + (k1 == k2) >= 2:
+                return False
+    return True
+
+
 def oracle_oblique(s: Support) -> bool:
     """Obliqueness by trying every triple of axis orders directly."""
     from trisupport.core import AxisPermutations, apply_permutations
@@ -238,7 +250,7 @@ def oracle_span_stabilizer_dim(s: Support) -> int:
     offsets = (0, a * a, a * a + b * b)
     sizes = (a, b, c)
     members = s.as_set()
-    rows: list[dict[int, int]] = []
+    rows: list[list[Fraction]] = []
     for t in s.triples:
         for axis in range(3):
             n = sizes[axis]
@@ -247,8 +259,10 @@ def oracle_span_stabilizer_dim(s: Support) -> int:
                 moved[axis] = v
                 if tuple(moved) not in members:
                     # coefficient of e_moved in L.e_t is the single entry (v, t[axis])
-                    rows.append({offsets[axis] + v * n + t[axis]: 1})
-    return ncols - linalg.rank(rows, ncols)
+                    row = [Fraction(0)] * ncols
+                    row[offsets[axis] + v * n + t[axis]] = Fraction(1)
+                    rows.append(row)
+    return ncols - _dense_rank(rows, ncols)
 
 
 def _dense_rank(rows: list[list[Fraction]], ncols: int) -> int:

@@ -1,6 +1,6 @@
 import json
 
-from trisupport.cli import CRITERIA, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
+from trisupport.cli import CRITERIA, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
 from trisupport.core import support_from_json, tensor_from_json
 
 
@@ -59,13 +59,19 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     run(capsys, "construct", "m1-sum", "2", "--out", str(support_file))
     for argv in (
         ["zeta", "--theta", "1/0", "0", "1"],
-        ["zeta", "--theta", "1/3", "1/3", "1/3", "--tol", "nan"],
         ["decide", "oblique", "--budget", "-5"],
     ):
         code = main(argv + ["--in", str(support_file)])
         captured = capsys.readouterr()
         assert code == EXIT_INVALID, argv
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    # usage errors exit 1 as well (argparse's own code 2 means unknown here), and --help still exits 0
+    for argv in (["decide", "tight", "--in", "x", "--budget", "abc"], ["decide", "tight"], ["nope"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID, argv
+        assert "error:" in captured.err and "Traceback" not in captured.err and captured.out == ""
+    assert main(["--help"]) == EXIT_OK and "usage:" in capsys.readouterr().out
 
 
 def test_malformed_json_exits_invalid_without_traceback(tmp_path, capsys):
@@ -195,8 +201,9 @@ def test_reproduce_reports_a_failed_criterion_and_runs_the_rest(monkeypatch, cap
         return name, run_entry
 
     monkeypatch.setattr(cli, "CRITERIA", (entry("a"), entry("b", fails=True), entry("c")))
-    main(["reproduce", "--seed", "5"])
+    code = main(["reproduce", "--seed", "5"])
     captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
     assert ran == ["a", "b", "c"]
     assert json.loads(captured.out)["result"] == {
         "checks": [

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from trisupport.constructions import (
 )
 from trisupport.core import Shape, Support, apply_permutations
 from trisupport.sampling import random_support
+
+GOLDEN = Path(__file__).parent / "golden" / "zero_boxes.json"
 
 
 def full_support(a, b, c):
@@ -186,3 +191,35 @@ def test_slice_cover_bounds_slice_decomposition():
     # a cover of the support is a valid slice decomposition certificate
     t = t_std(3)
     assert slice_cover(t.support()).size <= 3
+
+
+def _golden_supports():
+    rng = random.Random(36)
+    out = []
+    for n in range(40):
+        shp = Shape(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7))
+        out.append((f"random-{n}", random_support(rng, shp, rng.uniform(0.1, 0.6))))
+    out += [(f"t-max({m})", tight_max_support(m)[0]) for m in (4, 5, 6, 7)]
+    out += [(f"cw-small({q})", coppersmith_winograd(q).support()) for q in (2, 3)]
+    out += [(f"cw-big({q})", coppersmith_winograd(q, big=True).support()) for q in (2, 3)]
+    out.append(("not-tight-compressible-4", not_tight_compressible_4().support()))
+    return out
+
+
+def test_zero_boxes_and_covers_match_golden():
+    # recorded from the set-based searches: the exact box, or None, at every
+    # size split (as a digest of the JSON list) and the minimum cover's slices
+    golden = json.loads(GOLDEN.read_text())
+    for (name, s), want in zip(_golden_supports(), golden, strict=True):
+        boxes = [
+            None if box is None else [list(box.i_set), list(box.j_set), list(box.k_set)]
+            for box in (find_zero_box(s, *dims) for dims in itertools.product(*(range(n + 1) for n in s.shape)))
+        ]
+        got = {
+            "name": name,
+            "size": len(s),
+            "found": sum(box is not None for box in boxes),
+            "boxes_sha256": hashlib.sha256(json.dumps(boxes).encode()).hexdigest(),
+            "cover": [list(sl) for sl in slice_cover(s).slices],
+        }
+        assert got == want, name

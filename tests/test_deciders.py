@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _oracles import oracle_max_antichain, oracle_oblique, oracle_tight
+from _oracles import oracle_free, oracle_max_antichain, oracle_oblique, oracle_tight
 from _reference import M3_ORBIT_REPRESENTATIVES
 from trisupport import deciders
 from trisupport.constructions import matmul, oblique_not_tight_4, tight_max_support, free_max_support
@@ -40,6 +40,17 @@ def test_is_free_examples():
     assert is_free(free_max_support(3))
     assert not is_free(Support(Shape(2, 2, 2), ((0, 0, 0), (0, 0, 1))))
     assert is_free(matmul(2).support())
+
+
+def test_is_free_agrees_with_pairwise_oracle():
+    rng = random.Random(37)
+    verdicts = []
+    for _ in range(200):
+        shp = Shape(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+        s = random_support(rng, shp, rng.uniform(0.02, 0.3))
+        verdicts.append(is_free(s))
+        assert verdicts[-1] == oracle_free(s), s
+    assert 40 <= sum(verdicts) <= 160, sum(verdicts)
 
 
 def test_is_antichain_examples():
