@@ -4,11 +4,19 @@ Exit codes: 0 decided/ok, 1 invalid input or usage, 2 unknown (budget or
 scope gate), 3 internal invariant violation or a failed reproduce criterion.
 Results go to stdout as a run report; human-readable logs go to stderr;
 --out writes the result payload to a file.
+
+The parser tree is built once per process (`build_parser` is cached), and
+each leaf subcommand carries its own handler, so `main` parses and calls
+`args.handler` with no second dispatch.  A handler whose report still prints
+but whose exit code is not 0 (an honest unknown, a failed reproduce criterion)
+raises `ReportedExit`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -44,7 +52,7 @@ from .core import (
     tensor_from_json,
     tensor_to_obj,
 )
-from .deciders import TightWitness, census_m3, decide_oblique, decide_tight, is_free, max_oblique_size
+from .deciders import DEFAULT_BUDGET, TightWitness, census_m3, decide_oblique, decide_tight, is_free, max_oblique_size
 from .sampling import generic_tensor_on, random_concise_tensor, random_support
 from .spectral import SpectralWeights, ZetaUnconverged, zeta, zeta_full, zeta_min_over_axis_orders
 from .symmetry import annihilator, check_propagation, class_dimension, span_stabilizer_dim
@@ -55,12 +63,14 @@ EXIT_UNKNOWN = 2
 EXIT_INTERNAL = 3
 
 
-class UnknownResult(Exception):
-    """Raised when a command ends in an honest don't-know (budget/scope)."""
+class ReportedExit(Exception):
+    """A command that ends with its report printed and a non-zero exit code:
+    an honest unknown (budget or scope gate), or a failed reproduce criterion."""
 
-    def __init__(self, payload: dict):
-        super().__init__("unknown")
+    def __init__(self, payload: dict, code: int):
+        super().__init__(f"exit {code}")
         self.payload = payload
+        self.code = code
 
 
 def _sha256(path: str) -> str:
@@ -93,48 +103,49 @@ def _perms_obj(p) -> dict:
 
 def _cmd_construct(args) -> dict:
     built = construct(args.catalog_id, args.param)
+    witness = None
     if isinstance(built, tuple):
-        support, witness = built
-        obj = support_to_obj(support)
-        return {
-            "kind": "support",
-            "support": obj,
-            "witness": _witness_obj(witness),
-            "_file_payload": obj,
-        }
+        built, witness = built
     if isinstance(built, Support):
-        obj = support_to_obj(built)
-        return {"kind": "support", "support": obj, "_file_payload": obj}
-    obj = tensor_to_obj(built)
-    return {"kind": "tensor", "tensor": obj, "_file_payload": obj}
+        kind, obj = "support", support_to_obj(built)
+    else:
+        kind, obj = "tensor", tensor_to_obj(built)
+    out = {"kind": kind, kind: obj}
+    if witness is not None:
+        out["witness"] = _witness_obj(witness)
+    out["_file_payload"] = obj
+    return out
 
 
-def _cmd_decide(args) -> dict:
-    s = _read_support(args.infile)
-    if args.property == "free":
-        return {"property": "free", "holds": is_free(s)}
-    if args.property == "tight":
-        w = decide_tight(s, seed=args.seed)
-        if w is None:
-            return {"property": "tight", "holds": False}
-        return {"property": "tight", "holds": True, "witness": _witness_obj(w)}
-    res = decide_oblique(s, budget=args.budget, seed=args.seed)
+def _cmd_tight(args) -> dict:
+    w = decide_tight(_read_support(args.infile), seed=args.seed)
+    if w is None:
+        return {"property": "tight", "holds": False}
+    return {"property": "tight", "holds": True, "witness": _witness_obj(w)}
+
+
+def _cmd_oblique(args) -> dict:
+    res = decide_oblique(_read_support(args.infile), budget=args.budget, seed=args.seed)
     if res.status == "unknown":
-        raise UnknownResult({"property": "oblique", "status": "unknown", "budget": args.budget})
+        raise ReportedExit({"property": "oblique", "status": "unknown", "budget": args.budget}, EXIT_UNKNOWN)
     out = {"property": "oblique", "holds": res.status == "oblique"}
     if res.witness is not None:
         out["witness"] = _perms_obj(res.witness)
     return out
 
 
+def _cmd_free(args) -> dict:
+    return {"property": "free", "holds": is_free(_read_support(args.infile))}
+
+
+def _census_counts(rep) -> dict:
+    return {"maximal": rep.maximal_count, "concise": rep.concise_count, "orbits": rep.orbit_count}
+
+
 def _cmd_census(args) -> dict:
     rep = census_m3(seed=args.seed)
     return {
-        "counts": {
-            "maximal": rep.maximal_count,
-            "concise": rep.concise_count,
-            "orbits": rep.orbit_count,
-        },
+        "counts": _census_counts(rep),
         "orbit_sizes": list(rep.orbit_sizes),
         "representatives": [
             {
@@ -152,64 +163,53 @@ def _cmd_max_oblique(args) -> dict:
     return {"bound": bound, "achieving": support_to_obj(achieving)}
 
 
-def _cmd_symmetry(args) -> dict:
-    if args.sym_cmd == "annihilator":
-        t = _read_tensor(args.infile)
-        rep = annihilator(t)
-        return {
-            "kernel_dim": rep.kernel_dim,
-            "annihilator_dim": rep.annihilator_dim,
-            "basis_size": len(rep.basis),
-        }
-    if args.sym_cmd == "propagate":
-        t1 = _read_tensor(args.in1)
-        t2 = _read_tensor(args.in2)
-        rep = check_propagation(t1, t2)
-        return {
-            "dim_first": rep.dim_first,
-            "dim_second": rep.dim_second,
-            "dim_direct_sum": rep.dim_direct_sum,
-            "dim_kronecker": rep.dim_kronecker,
-            "sum_is_additive": rep.sum_is_additive,
-            "product_contains_factors": rep.product_contains_factors,
-            "zero_factors_give_zero_product": rep.zero_factors_give_zero_product,
-        }
-    if args.sym_cmd == "class-dim":
-        return {"class": args.cls, "m": args.m, "dimension": class_dimension(args.cls, args.m)}
-    if args.sym_cmd == "span-stabilizer":
-        s = _read_support(args.infile)
-        return {"span_stabilizer_dim": span_stabilizer_dim(s)}
-    raise ValueError(f"unknown symmetry subcommand {args.sym_cmd!r}")
+def _cmd_annihilator(args) -> dict:
+    rep = annihilator(_read_tensor(args.infile))
+    return {
+        "kernel_dim": rep.kernel_dim,
+        "annihilator_dim": rep.annihilator_dim,
+        "basis_size": len(rep.basis),
+    }
 
 
-def _cmd_compress(args) -> dict:
+def _cmd_propagate(args) -> dict:
+    return dataclasses.asdict(check_propagation(_read_tensor(args.in1), _read_tensor(args.in2)))
+
+
+def _cmd_class_dim(args) -> dict:
+    return {"class": args.cls, "m": args.m, "dimension": class_dimension(args.cls, args.m)}
+
+
+def _cmd_span_stabilizer(args) -> dict:
+    return {"span_stabilizer_dim": span_stabilizer_dim(_read_support(args.infile))}
+
+
+def _cmd_box(args) -> dict:
+    box = find_zero_box(_read_support(args.infile), *args.dims)
+    out: dict = {"dims": args.dims, "found": box is not None}
+    if box is not None:
+        out["box"] = {"I": list(box.i_set), "J": list(box.j_set), "K": list(box.k_set)}
+    out["note"] = "coordinate search; exact"
+    return out
+
+
+def _cmd_multi(args) -> dict:
+    return {
+        "multicompressibility": multicompressibility(_read_support(args.infile)),
+        "note": "coordinate notion; lower bound for subspace notion",
+    }
+
+
+def _cmd_cover(args) -> dict:
     s = _read_support(args.infile)
-    if args.comp_cmd == "box":
-        a1, b1, c1 = args.dims
-        box = find_zero_box(s, a1, b1, c1)
-        if box is None:
-            return {"dims": [a1, b1, c1], "found": False, "note": "coordinate search; exact"}
-        return {
-            "dims": [a1, b1, c1],
-            "found": True,
-            "box": {"I": list(box.i_set), "J": list(box.j_set), "K": list(box.k_set)},
-            "note": "coordinate search; exact",
-        }
-    if args.comp_cmd == "multi":
-        return {
-            "multicompressibility": multicompressibility(s),
-            "note": "coordinate notion; lower bound for subspace notion",
-        }
-    if args.comp_cmd == "cover":
-        cov = slice_cover(s)
-        kappa, _ = total_compressibility(s)
-        return {
-            "cover_size": cov.size,
-            "slices": [{"axis": a, "index": i} for a, i in cov.slices],
-            "total_compressibility": kappa,
-            "duality_sum": cov.size + kappa,
-        }
-    raise ValueError(f"unknown compress subcommand {args.comp_cmd!r}")
+    cov = slice_cover(s)
+    kappa, _ = total_compressibility(s)
+    return {
+        "cover_size": cov.size,
+        "slices": [{"axis": a, "index": i} for a, i in cov.slices],
+        "total_compressibility": kappa,
+        "duality_sum": cov.size + kappa,
+    }
 
 
 def _parse_theta(vals: list[str]) -> SpectralWeights:
@@ -225,13 +225,14 @@ def _cmd_zeta(args) -> dict:
     try:
         res = (zeta_min_over_axis_orders if args.min_orders else zeta_full)(s, weights)
     except ZetaUnconverged as exc:
-        raise UnknownResult(
-            {"status": "unknown", "reason": "ascent iteration cap", "gap": exc.gap, "iterations": exc.iterations}
+        raise ReportedExit(
+            {"status": "unknown", "reason": "ascent iteration cap", "gap": exc.gap, "iterations": exc.iterations},
+            EXIT_UNKNOWN,
         ) from exc
     if args.min_orders:
         if res.status == "unknown":
-            raise UnknownResult(
-                {"status": "unknown", "reason": "axis size above the exhaustive-order gate"}
+            raise ReportedExit(
+                {"status": "unknown", "reason": "axis size above the exhaustive-order gate"}, EXIT_UNKNOWN
             )
         return {
             "value": res.value,
@@ -258,16 +259,10 @@ def _cmd_arrange(args) -> dict:
         ],
     }
     if args.dims is not None:
-        a1, b1, c1 = args.dims
-        sub = joint_free_subarrangement(arr, a1, b1, c1)
-        if sub is None:
-            out["joint_free_subarrangement"] = None
-        else:
-            out["joint_free_subarrangement"] = {
-                "x": list(sub.xs),
-                "y": list(sub.ys),
-                "z": list(sub.zs),
-            }
+        sub = joint_free_subarrangement(arr, *args.dims)
+        out["joint_free_subarrangement"] = (
+            None if sub is None else {"x": list(sub.xs), "y": list(sub.ys), "z": list(sub.zs)}
+        )
     if args.svg is not None:
         render_svg(arr, args.svg)
         out["svg"] = args.svg
@@ -290,7 +285,7 @@ def _require(ok: bool, message: str) -> None:
 
 def _census_criterion(seed: int) -> dict:
     rep = census_m3(seed=seed)
-    counts = {"maximal": rep.maximal_count, "concise": rep.concise_count, "orbits": rep.orbit_count}
+    counts = _census_counts(rep)
     _require(list(counts.values()) == [144, 80, 13] and sum(rep.orbit_sizes) == 80, f"census {counts}, {rep.orbit_sizes}")
     certified = all(w is not None and w.certifies(r) for r, w in zip(rep.representatives, rep.witnesses))
     _require(certified, "an orbit representative is not certified tight")
@@ -408,89 +403,85 @@ def _cmd_reproduce(args) -> dict:
         except CriterionFailed as exc:
             checks.append({"name": name, "ok": False, "failed": str(exc)})
         print(f"[{'ok' if checks[-1]['ok'] else 'FAIL'}] {name}", file=sys.stderr)
-    all_ok = all(c["ok"] for c in checks)
-    # a failed paper claim still prints the whole report, then exits like a broken invariant
-    return {"checks": checks, "all_ok": all_ok, "_exit_code": EXIT_OK if all_ok else EXIT_INTERNAL}
+    report = {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
+    if not report["all_ok"]:
+        # a failed paper claim still prints the whole report, then exits like a broken invariant
+        raise ReportedExit(report, EXIT_INTERNAL)
+    return report
 
 
 # --- driver ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; every caller shares it, so
+    none may add to it."""
     parser = argparse.ArgumentParser(
         prog="trisupport",
         description="Exact combinatorics of 3-tensor supports.",
     )
+    # every leaf carries the common flags, so "--seed" works after the leaf name
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=0, help="seed for randomized witnesses and generic tensors"
     )
     common.add_argument("--out", help="also write the result payload to this file")
+    reads = argparse.ArgumentParser(add_help=False, parents=[common])
+    reads.add_argument("--in", dest="infile", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def leaf(group, name: str, handler, parent=common, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=[parent], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add("construct", help="emit a catalog tensor or support as JSON")
+    def branch(name: str, dest: str, **kwargs):
+        return sub.add_parser(name, **kwargs).add_subparsers(dest=dest, required=True)
+
+    p = leaf(sub, "construct", _cmd_construct, help="emit a catalog tensor or support as JSON")
     p.add_argument("catalog_id", choices=CATALOG_IDS)
     p.add_argument("param", type=int, nargs="?", help="size parameter where required")
-    p.set_defaults(handler=_cmd_construct)
 
-    p = add("decide", help="decide a support class with certificate")
-    p.add_argument("property", choices=("tight", "oblique", "free"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000, help="backtracking node budget for oblique")
-    p.set_defaults(handler=_cmd_decide)
+    decide = branch("decide", "property", help="decide a support class with certificate")
+    deciding = argparse.ArgumentParser(add_help=False, parents=[reads])
+    deciding.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="backtracking node budget for oblique")
+    leaf(decide, "tight", _cmd_tight, deciding)
+    leaf(decide, "oblique", _cmd_oblique, deciding)
+    leaf(decide, "free", _cmd_free, deciding)
 
-    p = add("census-m3", help="classify maximal antichains of the 3-cube")
-    p.set_defaults(handler=_cmd_census)
+    leaf(sub, "census-m3", _cmd_census, help="classify maximal antichains of the 3-cube")
 
-    p = add("max-oblique", help="sharp antichain bound with achieving slice")
+    p = leaf(sub, "max-oblique", _cmd_max_oblique, help="sharp antichain bound with achieving slice")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
-    p.set_defaults(handler=_cmd_max_oblique)
 
-    # nested leaves carry the common flags so "--seed" works after the leaf name
-    p = sub.add_parser("symmetry", help="symmetry Lie algebra computations")
-    ps = p.add_subparsers(dest="sym_cmd", required=True)
-    q = ps.add_parser("annihilator", parents=[common])
-    q.add_argument("--in", dest="infile", required=True)
-    q = ps.add_parser("propagate", parents=[common])
-    q.add_argument("--in1", required=True)
-    q.add_argument("--in2", required=True)
-    q = ps.add_parser("class-dim", parents=[common])
-    q.add_argument("cls", choices=("MaMu", "Tight", "Oblique", "Free", "Ambient"))
-    q.add_argument("m", type=int)
-    q = ps.add_parser("span-stabilizer", parents=[common])
-    q.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_symmetry)
+    symmetry = branch("symmetry", "sym_cmd", help="symmetry Lie algebra computations")
+    leaf(symmetry, "annihilator", _cmd_annihilator, reads)
+    p = leaf(symmetry, "propagate", _cmd_propagate)
+    p.add_argument("--in1", required=True)
+    p.add_argument("--in2", required=True)
+    p = leaf(symmetry, "class-dim", _cmd_class_dim)
+    p.add_argument("cls", choices=("MaMu", "Tight", "Oblique", "Free", "Ambient"))
+    p.add_argument("m", type=int)
+    leaf(symmetry, "span-stabilizer", _cmd_span_stabilizer, reads)
 
-    p = sub.add_parser("compress", help="zero boxes, multicompressibility, slice covers")
-    pc = p.add_subparsers(dest="comp_cmd", required=True)
-    q = pc.add_parser("box", parents=[common])
-    q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--dims", type=int, nargs=3, required=True, metavar=("A1", "B1", "C1"))
-    q = pc.add_parser("multi", parents=[common])
-    q.add_argument("--in", dest="infile", required=True)
-    q = pc.add_parser("cover", parents=[common])
-    q.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_compress)
+    compress = branch("compress", "comp_cmd", help="zero boxes, multicompressibility, slice covers")
+    p = leaf(compress, "box", _cmd_box, reads)
+    p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("A1", "B1", "C1"))
+    leaf(compress, "multi", _cmd_multi, reads)
+    leaf(compress, "cover", _cmd_cover, reads)
 
-    p = add("zeta", help="support functional at coordinate flags")
-    p.add_argument("--in", dest="infile", required=True)
+    p = leaf(sub, "zeta", _cmd_zeta, reads, help="support functional at coordinate flags")
     p.add_argument("--theta", nargs=3, required=True, metavar=("TA", "TB", "TC"))
     p.add_argument("--min-orders", action="store_true")
-    p.set_defaults(handler=_cmd_zeta)
 
-    p = add("arrange", help="line arrangement from a weighting witness")
+    p = leaf(sub, "arrange", _cmd_arrange, help="line arrangement from a weighting witness")
     p.add_argument("--witness", required=True)
     p.add_argument("--svg", help="write a deterministic SVG rendering here")
     p.add_argument("--dims", type=int, nargs=3, metavar=("A1", "B1", "C1"))
-    p.set_defaults(handler=_cmd_arrange)
 
-    p = add("reproduce", help="run the consolidated verification suite")
-    p.set_defaults(handler=_cmd_reproduce)
-
+    leaf(sub, "reproduce", _cmd_reproduce, help="run the consolidated verification suite")
     return parser
 
 
@@ -514,17 +505,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         digests = _input_digests(args)
         result = args.handler(args)
-    except UnknownResult as unk:
-        result = unk.payload
-        digests = {}
-        code = EXIT_UNKNOWN
+    except ReportedExit as exc:
+        result, code = exc.payload, exc.code
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    code = result.pop("_exit_code", code)
     file_payload = result.pop("_file_payload", result)
     report = {
         "command": argv,

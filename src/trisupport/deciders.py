@@ -5,7 +5,8 @@ incidence system has an injective integer solution iff no coordinate-difference
 functional vanishes identically on the solution space (over an infinite field a
 linear space lies in a finite union of hyperplanes iff it lies in one of them).
 Obliqueness is decided by the tight fast path or by an exhaustive backtracking
-search over axis orders; freeness is a pairwise scan.
+search over axis orders within a node budget; freeness checks that the three
+pair projections of the support are injective.
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
 # Obliqueness
 # ---------------------------------------------------------------------------
 
+# search nodes `decide_oblique` may spend before it answers "unknown"
+DEFAULT_BUDGET = 10_000_000
+
+
 @dataclass(frozen=True)
 class ObliqueResult:
     """The verdict, a witness reordering when oblique, and the search nodes
@@ -137,7 +142,7 @@ class ObliqueResult:
     nodes: int
 
 
-def decide_oblique(s: Support, budget: int = 10_000_000, seed: int = 0) -> ObliqueResult:
+def decide_oblique(s: Support, budget: int = DEFAULT_BUDGET, seed: int = 0) -> ObliqueResult:
     """Decide whether some reordering of the three index ranges turns the
     support into an antichain.
 

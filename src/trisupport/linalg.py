@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts column -> integer; `integerize` clears denominators and strips
-the content on entry.
+Rows are dicts column -> integer; `integerize` clears the denominators of a
+rational vector and strips its content.
 
 `nullspace` is a certified modular solver:
 
@@ -37,7 +37,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 SparseRow = dict[int, int]
 
@@ -66,12 +66,6 @@ def integerize(values: Iterable[Fraction]) -> list[int]:
     if g > 1:
         ints = [v // g for v in ints]
     return ints
-
-
-def row_from_fractions(entries: Mapping[int, Fraction]) -> SparseRow:
-    """Clear denominators and strip the content of one row."""
-    entries = {c: v for c, v in entries.items() if v}
-    return dict(zip(entries, integerize(entries.values())))
 
 
 def _strip(row: SparseRow) -> SparseRow:

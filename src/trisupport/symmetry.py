@@ -9,6 +9,7 @@ exposed to keep tests unambiguous.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -40,6 +41,13 @@ class LieSolveReport:
     basis: tuple[LieElement, ...]
 
 
+def _integer_entries(t: Tensor) -> tuple[dict[Triple, int], int]:
+    """The entries of t times the lcm of their denominators, and that lcm: the
+    integer tensor that the action and flattening rows are built from."""
+    den = lcm(*(v.denominator for v in t.entries.values()))
+    return {key: v.numerator * (den // v.denominator) for key, v in t.entries.items()}, den
+
+
 def lie_apply(elem: LieElement, t: Tensor) -> Tensor:
     """Leibniz action: sum of the three one-factor actions on every entry."""
     # integers throughout: the matrices are scaled by their common denominator
@@ -47,7 +55,7 @@ def lie_apply(elem: LieElement, t: Tensor) -> Tensor:
     # column u of x, and likewise cy and cz, so zero entries cost nothing.
     mats = elem.matrices()
     dm = lcm(*(v.denominator for m in mats for row in m for v in row))
-    dt = lcm(*(v.denominator for v in t.entries.values()))
+    entries, dt = _integer_entries(t)
     cx, cy, cz = (
         [
             [(v, m[v][u].numerator * (dm // m[v][u].denominator)) for v in range(len(m)) if m[v][u]]
@@ -57,8 +65,7 @@ def lie_apply(elem: LieElement, t: Tensor) -> Tensor:
     )
     out: dict[Triple, int] = {}
     get = out.get
-    for (i, j, k), val in t.entries.items():
-        n = val.numerator * (dt // val.denominator)
+    for (i, j, k), n in entries.items():
         for i2, w in cx[i]:
             key = (i2, j, k)
             out[key] = get(key, 0) + w * n
@@ -77,24 +84,15 @@ def _action_rows(t: Tensor) -> tuple[list[linalg.SparseRow], int]:
     a, b, c = t.shape
     na, nb = a * a, b * b
     ncols = na + nb + c * c
-    coeffs: dict[Triple, dict[int, Fraction]] = {}
-
-    def touch(key: Triple) -> dict[int, Fraction]:
-        row = coeffs.get(key)
-        if row is None:
-            row = {}
-            coeffs[key] = row
-        return row
-
-    for (i, j, k), v in t.entries.items():
+    coeffs: defaultdict[Triple, linalg.SparseRow] = defaultdict(dict)
+    for (i, j, k), v in _integer_entries(t)[0].items():
         for i2 in range(a):
-            touch((i2, j, k))[i2 * a + i] = v
+            coeffs[(i2, j, k)][i2 * a + i] = v
         for j2 in range(b):
-            touch((i, j2, k))[na + j2 * b + j] = v
+            coeffs[(i, j2, k)][na + j2 * b + j] = v
         for k2 in range(c):
-            touch((i, j, k2))[na + nb + k2 * c + k] = v
-    rows = [linalg.row_from_fractions(coeffs[key]) for key in sorted(coeffs)]
-    return rows, ncols
+            coeffs[(i, j, k2)][na + nb + k2 * c + k] = v
+    return [coeffs[key] for key in sorted(coeffs)], ncols
 
 
 def _vec_to_element(vec: list[Fraction], shape: Shape) -> LieElement:
@@ -237,11 +235,11 @@ def tensor_flattening_rows(t: Tensor, axis: int) -> tuple[list[linalg.SparseRow]
     sizes = (a, b, c)
     others = [d for d in range(3) if d != axis]
     width = sizes[others[0]] * sizes[others[1]]
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(sizes[axis])]
-    for tr, v in t.entries.items():
+    rows: list[linalg.SparseRow] = [dict() for _ in range(sizes[axis])]
+    for tr, v in _integer_entries(t)[0].items():
         col = tr[others[0]] * sizes[others[1]] + tr[others[1]]
         rows[tr[axis]][col] = v
-    return [linalg.row_from_fractions(r) for r in rows], width
+    return rows, width
 
 
 def flattening_rank(t: Tensor, axis: int) -> int:

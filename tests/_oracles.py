@@ -20,7 +20,9 @@ import numpy as np
 
 from trisupport.core import Shape, Support, Tensor, Triple
 
-SEARCH_BOUND = 12
+# Each component's first triple is translated to weight 0 (below), which moves
+# a witness with every |tau| <= 12 into |tauA|, |tauB| <= 24 and |tauC| <= 36.
+SEARCH_BOUND = 36
 _NODE_CAP = 20_000_000
 
 
@@ -53,7 +55,12 @@ def _components(triples: list[Triple]) -> list[list[Triple]]:
 
 def _search(triples: list[Triple], bound: int) -> bool:
     """Complete DFS for an injective zero-sum weighting with values in
-    [-bound, bound] on the variables of the given triples."""
+    [-bound, bound] on the variables of the given connected triples, with the
+    first triple at weight 0.
+
+    (tauA + x, tauB + y, tauC - x - y) keeps every triple's sum at zero and
+    every weighting injective, so fixing the first triple's tauA and tauB at 0
+    (and with them its tauC) loses no witness."""
     domain = _domain(bound)
     assign: dict[tuple[int, int], int] = {}
     used: list[set[int]] = [set(), set(), set()]
@@ -112,27 +119,20 @@ def _search(triples: list[Triple], bound: int) -> bool:
             unplace(first)
         return False
 
-    return solve(0)
+    for d in range(3):
+        place((d, triples[0][d]), 0)
+    return solve(1)
 
 
 def oracle_tight(s: Support, bound: int = SEARCH_BOUND) -> bool:
-    """Exhaustive bounded search for a tightness certificate.
+    """Exhaustive bounded search for a tightness certificate, one component of
+    the constraint hypergraph at a time.
 
-    Components of the constraint hypergraph are refuted independently first
-    (a global witness restricts to each component), which keeps exhaustion of
-    unsatisfiable inputs cheap.
+    Components share no variable, so a support is tight exactly when every
+    component is: a global witness restricts to each component, and component
+    witnesses translated far enough apart stay injective together.
     """
-    triples = list(s.triples)
-    if not triples:
-        return True
-    comps = _components(triples)
-    for comp in comps:
-        if not _search(comp, bound):
-            return False
-    if len(comps) == 1:
-        return True
-    ordered = [t for comp in comps for t in comp]
-    return _search(ordered, bound)
+    return all(_search(comp, bound) for comp in _components(list(s.triples)))
 
 
 def oracle_free(s: Support) -> bool:

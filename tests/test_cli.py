@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from trisupport.cli import CRITERIA, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
@@ -44,6 +45,7 @@ def test_decide_oblique_unknown_exit_code(tmp_path, capsys):
     code, report = run(capsys, "decide", "oblique", "--in", str(support_file), "--budget", "1")
     assert code == EXIT_UNKNOWN
     assert report["result"]["status"] == "unknown"
+    assert report["inputs"] == {str(support_file): hashlib.sha256(support_file.read_bytes()).hexdigest()}
 
 
 def test_invalid_input_exit_code(tmp_path, capsys):
@@ -214,6 +216,24 @@ def test_reproduce_reports_a_failed_criterion_and_runs_the_rest(monkeypatch, cap
         "all_ok": False,
     }
     assert "[FAIL] b" in captured.err and "Traceback" not in captured.err
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
+    import argparse
+
+    trees = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "trisupport":
+            trees.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert main(["max-oblique", "2", "3", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(trees) <= 1
 
 
 def test_report_shape_and_determinism(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """The benchmark's tracer rebinds library functions by name with no default,
-so a name it lists that the library no longer has breaks `--trace 1`; and a
+so a name it lists that the library no longer has breaks `--trace 1`; a
 library change that breaks one of the benchmark's answer checks fails its
-self-test."""
+self-test; and the README's CLI block shows every leaf command."""
 
+import argparse
 import ast
 import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+from trisupport.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -37,3 +40,20 @@ def test_benchmark_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+
+
+def _leaf_commands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [path]
+    return [leaf for name, sub in groups[0].choices.items() for leaf in _leaf_commands(sub, path + (name,))]
+
+
+def test_readme_cli_block_shows_every_leaf_command():
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = [line.split()[1:] for line in block.splitlines() if line.startswith("trisupport ")]
+    leaves = _leaf_commands(build_parser())
+    assert ("decide", "free") in leaves and ("symmetry", "span-stabilizer") in leaves
+    for leaf in leaves:
+        assert any(tuple(words[: len(leaf)]) == leaf for words in shown), " ".join(leaf)
