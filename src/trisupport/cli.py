@@ -428,26 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="also write the result payload to this file")
     reads = argparse.ArgumentParser(add_help=False, parents=[common])
     reads.add_argument("--in", dest="infile", required=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no dest on any group: a missing leaf is then reported by its choices, not an internal name
+    sub = parser.add_subparsers(required=True)
 
     def leaf(group, name: str, handler, parent=common, **kwargs) -> argparse.ArgumentParser:
         p = group.add_parser(name, parents=[parent], **kwargs)
         p.set_defaults(handler=handler)
         return p
 
-    def branch(name: str, dest: str, **kwargs):
-        return sub.add_parser(name, **kwargs).add_subparsers(dest=dest, required=True)
+    def branch(name: str, **kwargs):
+        return sub.add_parser(name, **kwargs).add_subparsers(required=True)
 
     p = leaf(sub, "construct", _cmd_construct, help="emit a catalog tensor or support as JSON")
     p.add_argument("catalog_id", choices=CATALOG_IDS)
     p.add_argument("param", type=int, nargs="?", help="size parameter where required")
 
-    decide = branch("decide", "property", help="decide a support class with certificate")
-    deciding = argparse.ArgumentParser(add_help=False, parents=[reads])
-    deciding.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="backtracking node budget for oblique")
-    leaf(decide, "tight", _cmd_tight, deciding)
-    leaf(decide, "oblique", _cmd_oblique, deciding)
-    leaf(decide, "free", _cmd_free, deciding)
+    decide = branch("decide", help="decide a support class with certificate")
+    leaf(decide, "tight", _cmd_tight, reads)
+    p = leaf(decide, "oblique", _cmd_oblique, reads)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="backtracking node budget")
+    leaf(decide, "free", _cmd_free, reads)
 
     leaf(sub, "census-m3", _cmd_census, help="classify maximal antichains of the 3-cube")
 
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
 
-    symmetry = branch("symmetry", "sym_cmd", help="symmetry Lie algebra computations")
+    symmetry = branch("symmetry", help="symmetry Lie algebra computations")
     leaf(symmetry, "annihilator", _cmd_annihilator, reads)
     p = leaf(symmetry, "propagate", _cmd_propagate)
     p.add_argument("--in1", required=True)
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     leaf(symmetry, "span-stabilizer", _cmd_span_stabilizer, reads)
 
-    compress = branch("compress", "comp_cmd", help="zero boxes, multicompressibility, slice covers")
+    compress = branch("compress", help="zero boxes, multicompressibility, slice covers")
     p = leaf(compress, "box", _cmd_box, reads)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("A1", "B1", "C1"))
     leaf(compress, "multi", _cmd_multi, reads)

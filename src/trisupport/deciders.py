@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,10 +133,10 @@ DEFAULT_BUDGET = 10_000_000
 @dataclass(frozen=True)
 class ObliqueResult:
     """The verdict, a witness reordering when oblique, and the search nodes
-    spent: one per first-axis order, one per placement of a second-axis
-    value (and one for the empty order), and one per third-axis solve.  The
-    tight fast path and the freeness refutation spend none; "unknown" reports
-    the whole budget."""
+    spent: one per first-axis order (a refuted prefix counts its orders at
+    once), one per placement of a second-axis value (and one for the empty
+    order), and one per third-axis solve.  The tight fast path and the
+    freeness refutation spend none; "unknown" reports the whole budget."""
 
     status: Literal["oblique", "not_oblique", "unknown"]
     witness: Optional[AxisPermutations]
@@ -149,13 +150,15 @@ def decide_oblique(s: Support, budget: int = DEFAULT_BUDGET, seed: int = 0) -> O
     Tight supports short-circuit through the weighting-sort construction.
     Otherwise one rule drives the search: two distinct triples are
     incomparable exactly when the orders of the axes they differ on do not
-    all point the same way.  For each first-axis order, a pair that agrees on
-    the third axis forces a second-axis edge against its first-axis order,
-    and the second-axis orders searched are the linear extensions of those
-    edges.  For each complete second-axis order, every other pair forces a
-    third-axis edge against its first two axes unless they point opposite
-    ways, and the third-axis order is the smallest topological order of
-    those edges.  The search is exhaustive, so "not_oblique" is exact;
+    all point the same way.  A pair that agrees on the third axis forces a
+    second-axis edge against its first-axis order.  First-axis orders grow
+    depth first, and a prefix whose forced edges hold two opposite ones is
+    refuted with all its completions, counted as nodes in one step.  The
+    second-axis orders searched are the linear extensions of a surviving
+    order's edges.  For each complete second-axis order, every other pair
+    forces a third-axis edge against its first two axes unless they point
+    opposite ways, and the third-axis order is the smallest topological
+    order of those edges.  The search is exhaustive, so "not_oblique" is exact;
     "unknown" occurs only when the node budget is exhausted.
     """
     if budget < 0:
@@ -171,7 +174,8 @@ def decide_oblique(s: Support, budget: int = DEFAULT_BUDGET, seed: int = 0) -> O
         return ObliqueResult("oblique", perms, 0)
 
     nodes = 0
-    for nodes, perms in enumerate(_oblique_search(s), 1):
+    for spent, perms in _oblique_search(s):
+        nodes += spent
         if nodes > budget:
             return ObliqueResult("unknown", None, budget)
         if perms is not None:
@@ -181,34 +185,59 @@ def decide_oblique(s: Support, budget: int = DEFAULT_BUDGET, seed: int = 0) -> O
     return ObliqueResult("not_oblique", None, nodes)
 
 
-def _oblique_search(s: Support) -> Iterator[Optional[AxisPermutations]]:
-    """Yield once per search node: the reordering found at a third-axis
-    solve, else None."""
+def _oblique_search(s: Support) -> Iterator[tuple[int, Optional[AxisPermutations]]]:
+    """Yield (nodes spent, the reordering found at a third-axis solve or
+    None) as the search goes: one node at a time, except that a refuted
+    first-axis prefix spends all its orders' nodes in one yield."""
     a, b, c = s.shape
     pairs = list(itertools.combinations(s.triples, 2))
     rest = [(p, q) for p, q in pairs if p[2] != q[2]]
-    # (i, j, e, f) per pair agreeing on the third axis: its first-axis values
-    # and the second-axis edge it forces when i precedes j (e) or follows it
-    # (f).  Only pairs on the same two second-axis values can force opposite
-    # edges, so the largest such groups go first: a first-axis order that
-    # fails is then refuted after few pairs.
-    same_c = [(p[0], q[0], (q[1], p[1]), (p[1], q[1])) for p, q in pairs if p[2] == q[2]]
-    group = Counter(min(e, f) for _, _, e, f in same_c)
-    same_c.sort(key=lambda t: (-group[min(t[2], t[3])], min(t[2], t[3])))
-    for order_a in itertools.permutations(range(a)):
-        yield None
-        rank_a = _ranks(order_a)
-        edges_b = _precedence(e if rank_a[i] < rank_a[j] else f for i, j, e, f in same_c)
+    for orders, rank_a, edges_b in _first_axis_orders(a, [(p, q) for p, q in pairs if p[2] == q[2]]):
+        yield orders, None
         if edges_b is None:
             continue
         for order_b in _extension_prefixes(b, edges_b):
-            yield None
+            yield 1, None
             if len(order_b) < b:
                 continue
             rank_b = _ranks(order_b)
             edges_c = _precedence(_third_axis_edges(rest, rank_a, rank_b))
             order_c = None if edges_c is None else _smallest_topological_order(c, edges_c)
-            yield None if order_c is None else AxisPermutations(rank_a, rank_b, _ranks(order_c))
+            yield 1, (None if order_c is None else AxisPermutations(rank_a, rank_b, _ranks(order_c)))
+
+
+def _first_axis_orders(
+    a: int, same_c: list[tuple[Triple, Triple]]
+) -> Iterator[tuple[int, list[int], Optional[set[tuple[int, int]]]]]:
+    """Every first-axis order in lexicographic order, as (1, its ranks, the
+    second-axis edges it forces), grown depth first.  A pair agreeing on the
+    third axis forces its edge once either end is placed: the earlier end's
+    second-axis value comes last.  A prefix whose multiset of forced edges
+    holds two opposite ones refutes every completion, and is yielded as
+    (its number of completions, [], None)."""
+    forced: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(a)]
+    for p, q in same_c:
+        forced[p[0]].append((q[0], (q[1], p[1])))
+        forced[q[0]].append((p[0], (p[1], q[1])))
+    edges: Counter[tuple[int, int]] = Counter()
+    order: list[int] = []
+
+    def grow() -> Iterator[tuple[int, list[int], Optional[set[tuple[int, int]]]]]:
+        if len(order) == a:
+            yield 1, _ranks(order), {e for e, n in edges.items() if n}
+        for v in range(a):
+            if v not in order:
+                new = [e for w, e in forced[v] if w not in order]
+                edges.update(new)
+                if any(edges[e[::-1]] for e in new):
+                    yield math.factorial(a - len(order) - 1), [], None
+                else:
+                    order.append(v)
+                    yield from grow()
+                    order.pop()
+                edges.subtract(new)
+
+    return grow()
 
 
 def _third_axis_edges(

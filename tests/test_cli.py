@@ -67,13 +67,32 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == EXIT_INVALID, argv
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
-    # usage errors exit 1 as well (argparse's own code 2 means unknown here), and --help still exits 0
-    for argv in (["decide", "tight", "--in", "x", "--budget", "abc"], ["decide", "tight"], ["nope"]):
+    # usage errors exit 1 as well (argparse's own code 2 means unknown here), and --help still exits 0;
+    # only the oblique search takes a node budget
+    for argv in (
+        ["decide", "oblique", "--in", "x", "--budget", "abc"],
+        ["decide", "tight", "--in", str(support_file), "--budget", "5"],
+        ["decide", "tight"],
+        ["nope"],
+    ):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_INVALID, argv
         assert "error:" in captured.err and "Traceback" not in captured.err and captured.out == ""
     assert main(["--help"]) == EXIT_OK and "usage:" in capsys.readouterr().out
+
+
+def test_group_without_leaf_names_its_leaves(capsys):
+    for group, leaves in (
+        ("symmetry", "{annihilator,propagate,class-dim,span-stabilizer}"),
+        ("compress", "{box,multi,cover}"),
+        ("decide", "{tight,oblique,free}"),
+    ):
+        code = main([group])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID, group
+        assert f"required: {leaves}" in err, err
+        assert not any(dest in err for dest in ("sym_cmd", "comp_cmd", "property")), err
 
 
 def test_malformed_json_exits_invalid_without_traceback(tmp_path, capsys):

@@ -158,8 +158,9 @@ def test_decide_oblique_agrees_with_oracle_on_non_cubical_shapes(monkeypatch):
 
 def test_decide_oblique_refutes_free_non_antichain_supports():
     # free supports larger than the maximum antichain force the search to
-    # exhaust every first-axis order, each refuted before a second-axis node
-    for m in range(2, 7):
+    # exhaust every first-axis order, each refuted before a second-axis node;
+    # a refuted prefix counts its orders in one step, so m = 10 is fast
+    for m in range(2, 11):
         f = free_max_support(m)
         assert is_free(f)
         assert len(f) > max_oblique_size(m, m, m)[0]
@@ -170,9 +171,10 @@ def test_decide_oblique_refutes_free_non_antichain_supports():
 
 # (m, size) -> ((status, nodes) at the default budget and at budgets 1, 17 and
 # 1000, the default budget's witness) for the seeded draws of the test below.
-# Recorded from the search before it was rewritten around one forcing rule;
-# the CLI's --budget and the benchmark rely on the node counts, not only on
-# the verdicts.
+# Recorded from the search before it was rewritten around one forcing rule,
+# and the m = 8 rows from the search before refuted first-axis prefixes were
+# counted in bulk; the CLI's --budget and the benchmark rely on the node
+# counts, not only on the verdicts.
 OBLIQUE_GOLDEN = {
     (5, 9): ([("oblique", 8), ("unknown", 1), ("oblique", 8), ("oblique", 8)],
              ((0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (3, 2, 1, 0, 4))),
@@ -192,19 +194,27 @@ OBLIQUE_GOLDEN = {
     (7, 20): ([("not_oblique", 5617), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
     (7, 22): ([("not_oblique", 5077), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
     (7, 24): ([("not_oblique", 5040), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+    (8, 22): ([("not_oblique", 46672), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+    (8, 26): ([("not_oblique", 40320), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+    (8, 29): ([("not_oblique", 40320), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
+    (8, 32): ([("not_oblique", 40320), ("unknown", 1), ("unknown", 17), ("unknown", 1000)], None),
 }
 
 
-def test_decide_oblique_verdicts_nodes_and_witnesses_are_pinned():
+def _golden_draws():
     rng = random.Random(79)
-    for m in (5, 6, 7):
+    for m in (5, 6, 7, 8):
         for frac in (0.35, 0.4, 0.45, 0.5):
-            s = _free_support(rng, Shape(m, m, m), round(frac * m * m))
-            rows, witness = OBLIQUE_GOLDEN[(m, len(s))]
-            results = [decide_oblique(s)] + [decide_oblique(s, budget=k) for k in (1, 17, 1000)]
-            assert [(r.status, r.nodes) for r in results] == rows, (m, len(s))
-            w = results[0].witness
-            assert (None if w is None else (w.on_a, w.on_b, w.on_c)) == witness, (m, len(s))
+            yield m, _free_support(rng, Shape(m, m, m), round(frac * m * m))
+
+
+def test_decide_oblique_verdicts_nodes_and_witnesses_are_pinned():
+    for m, s in _golden_draws():
+        rows, witness = OBLIQUE_GOLDEN[(m, len(s))]
+        results = [decide_oblique(s)] + [decide_oblique(s, budget=k) for k in (1, 17, 1000)]
+        assert [(r.status, r.nodes) for r in results] == rows, (m, len(s))
+        w = results[0].witness
+        assert (None if w is None else (w.on_a, w.on_b, w.on_c)) == witness, (m, len(s))
 
 
 def test_decide_oblique_budget_exhaustion_is_unknown():
@@ -212,6 +222,17 @@ def test_decide_oblique_budget_exhaustion_is_unknown():
     for k in (0, 1, 5, 100):
         res = decide_oblique(s, budget=k)
         assert (res.status, res.witness, res.nodes) == ("unknown", None, k)
+    # a budget is exceeded, not met, by the last node: refuted prefixes
+    # count their orders in bulk, and the boundary stays where it was
+    f6 = free_max_support(6)
+    res = decide_oblique(f6, budget=719)
+    assert (res.status, res.witness, res.nodes) == ("unknown", None, 719)
+    res = decide_oblique(f6, budget=720)
+    assert (res.status, res.witness, res.nodes) == ("not_oblique", None, 720)
+    s7 = next(s for m, s in _golden_draws() if (m, len(s)) == (7, 20))
+    nodes = OBLIQUE_GOLDEN[(7, 20)][0][0][1]
+    assert decide_oblique(s7, budget=nodes - 1) == deciders.ObliqueResult("unknown", None, nodes - 1)
+    assert decide_oblique(s7, budget=nodes) == deciders.ObliqueResult("not_oblique", None, nodes)
     # not-free inputs are refuted without search regardless of budget
     bad = Support(Shape(2, 2, 2), ((0, 0, 0), (0, 0, 1)))
     assert decide_oblique(bad, budget=0).status == "not_oblique"
