@@ -103,14 +103,6 @@ class Tensor:
             return Tensor(self.shape, {})
         return Tensor(self.shape, {t: v * factor for t, v in self.entries.items()})
 
-    def permuted(self, perms: "AxisPermutations") -> "Tensor":
-        perms.check_shape(self.shape)
-        pa, pb, pc = perms.on_a, perms.on_b, perms.on_c
-        return Tensor(
-            self.shape,
-            {(pa[i], pb[j], pc[k]): v for (i, j, k), v in self.entries.items()},
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -157,15 +149,6 @@ class AxisPermutations:
             tuple(self.on_b[x] for x in other.on_b),
             tuple(self.on_c[x] for x in other.on_c),
         )
-
-    def inverse(self) -> "AxisPermutations":
-        def inv(p: tuple[int, ...]) -> tuple[int, ...]:
-            out = [0] * len(p)
-            for x, y in enumerate(p):
-                out[y] = x
-            return tuple(out)
-
-        return AxisPermutations(inv(self.on_a), inv(self.on_b), inv(self.on_c))
 
 
 def is_concise_support(s: Support) -> bool:

@@ -10,8 +10,10 @@ only here.
 Values are coordinate-flag evaluations: the outer flag minimization is
 restricted to coordinate flags induced by axis reorderings, so minimized
 results are upper bounds for the full flag-variety minimum.  That minimum
-runs the ascent only on the inclusion-minimal incompressibility sets the
-reorderings produce, since a larger set never has the smaller maximum.
+takes each reordering's incompressibility set as a bitmask over the grid
+cells and runs the ascent only on the inclusion-minimal ones (a larger set
+never has the smaller maximum), once per class of them under the axis swaps
+that keep the shape and the weights, on the class's first-enumerated member.
 """
 
 from __future__ import annotations
@@ -249,30 +251,49 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
     """Minimum of the functional over all axis reorderings (coordinate flags
     only).
 
-    Every one of the a! b! c! orderings is enumerated for its closure (its
-    incompressibility set), but the ascent runs only on the inclusion-minimal
-    distinct closures: a distribution on a closure is one on every closure
-    containing it, so the minimum is attained on a minimal one.  Among equal
-    values the first ordering enumerated wins.  Shapes above ORDER_MAX_DIM
-    per axis report unknown instead of an unfinishable search."""
+    Each of the a! b! c! orderings gives its closure (its incompressibility
+    set) as a bitmask over the cells i*b*c + j*c + k.  The ascent runs only on
+    the inclusion-minimal closures, as a distribution on a closure is one on
+    every closure containing it, and only once per class of them under the
+    axis swaps that keep the shape and the weights (such a swap keeps the
+    maximum), on the class's first-enumerated member.  Among equal values the
+    first class enumerated wins.  Shapes above ORDER_MAX_DIM per axis report unknown
+    instead of an unfinishable search."""
     a, b, c = s.shape
     if max(a, b, c) > ORDER_MAX_DIM:
         return OrderMinResult("unknown", None, None)
-    first: dict[frozenset[Triple], AxisPermutations] = {}
-    for orders in itertools.product(
+    cells = list(itertools.product(range(a), range(b), range(c)))
+    # below[i][j][k]: mask of the box under cell (i, j, k), from its predecessors' boxes
+    below = [[[0] * c for _ in range(b)] for _ in range(a)]
+    for n, (i, j, k) in enumerate(cells):
+        below[i][j][k] = (1 << n) | (i and below[i - 1][j][k]) | (j and below[i][j - 1][k]) | (k and below[i][j][k - 1])
+    first: dict[int, AxisPermutations] = {}
+    for oa, ob, oc in itertools.product(
         itertools.permutations(range(a)), itertools.permutations(range(b)), itertools.permutations(range(c))
     ):
-        perms = AxisPermutations(*orders)
-        first.setdefault(frozenset(incompr_set(apply_permutations(s, perms)).points), perms)
-    # a closure with a proper subclosure contains a minimal one of smaller size
-    minimal: set[frozenset[Triple]] = set()
-    for closure in sorted(first, key=len):
-        if not any(m <= closure for m in minimal):
+        closure = 0
+        for i, j, k in s.triples:
+            closure |= below[oa[i]][ob[j]][oc[k]]
+        if closure not in first:
+            first[closure] = AxisPermutations(oa, ob, oc)
+    # a closure with a proper subclosure contains a minimal one with fewer cells
+    minimal: set[int] = set()
+    for closure in sorted(first, key=int.bit_count):
+        if not any(m & ~closure == 0 for m in minimal):
             minimal.add(closure)
+    # the axis swaps that keep every axis's size and weight, as exact Fractions
+    label = tuple(zip((a, b, c), (weights.theta_a, weights.theta_b, weights.theta_c)))
+    swaps = [g for g in itertools.permutations(range(3)) if tuple(label[d] for d in g) == label]
+    classes: set[tuple[Triple, ...]] = set()
     best: Optional[float] = None
     best_perms: Optional[AxisPermutations] = None
     for closure, perms in first.items():
-        if closure in minimal:
+        if closure not in minimal:
+            continue
+        points = [t for n, t in enumerate(cells) if closure >> n & 1]
+        key = min(tuple(sorted((t[g[0]], t[g[1]], t[g[2]]) for t in points)) for g in swaps)
+        if key not in classes:
+            classes.add(key)
             val = zeta(apply_permutations(s, perms), weights)
             if best is None or val < best - 1e-15:
                 best, best_perms = val, perms

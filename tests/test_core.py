@@ -146,7 +146,8 @@ def test_apply_permutations_is_group_action():
             tuple(rng.sample(range(3), 3)), tuple(rng.sample(range(4), 4)), tuple(rng.sample(range(2), 2))
         )
         assert apply_permutations(apply_permutations(s, q), p) == apply_permutations(s, p.compose(q))
-        assert apply_permutations(apply_permutations(s, p), p.inverse()) == s
+        inverse = AxisPermutations(*(tuple(map(x.index, range(len(x)))) for x in (p.on_a, p.on_b, p.on_c)))
+        assert apply_permutations(apply_permutations(s, p), inverse) == s
 
 
 def test_json_round_trip():

@@ -10,7 +10,7 @@ from _oracles import downward_closed_sets, oracle_incompr_set, oracle_zeta_grid
 from trisupport import spectral
 from trisupport.cli import EXIT_UNKNOWN, main
 from trisupport.constructions import coppersmith_winograd, free_max_support, m_one_sum, tight_max_support
-from trisupport.core import Shape, Support, apply_permutations, support_to_obj
+from trisupport.core import AxisPermutations, Shape, Support, apply_permutations, support_to_obj
 from trisupport.sampling import random_support
 from trisupport.spectral import (
     IncomprSet,
@@ -165,15 +165,20 @@ def _closure(triples):
     )
 
 
-def _exhaustive_order_min(s, weights):
-    """Every a! b! c! order, every distinct closure, then zeta: the minimum
-    and the set of all distinct closures."""
+def _moved(s):
+    """The support's triples under each of the a! b! c! axis orders."""
     a, b, c = s.shape
-    values = {}
     for pa, pb, pc in itertools.product(
         itertools.permutations(range(a)), itertools.permutations(range(b)), itertools.permutations(range(c))
     ):
-        moved = tuple((pa[i], pb[j], pc[k]) for (i, j, k) in s.triples)
+        yield tuple((pa[i], pb[j], pc[k]) for (i, j, k) in s.triples)
+
+
+def _exhaustive_order_min(s, weights):
+    """Every a! b! c! order, every distinct closure, then zeta: the minimum
+    and the set of all distinct closures."""
+    values = {}
+    for moved in _moved(s):
         key = _closure(moved)
         if key not in values:
             values[key] = zeta(Support(s.shape, moved), weights)
@@ -202,6 +207,48 @@ def test_zeta_min_over_axis_orders_matches_exhaustive_minimum():
         chosen = _closure(moved.triples)
         assert chosen in closures and not any(other < chosen for other in closures), s.triples
         assert abs(zeta(moved, weights) - res.value) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "s, weights, swaps, n_minimal, n_classes",
+    [
+        (m_one_sum(3).support(), UNIFORM, list(itertools.permutations(range(3))), 17, 4),
+        (coppersmith_winograd(2).support(), UNIFORM, list(itertools.permutations(range(3))), 6, 2),
+        # theta_a differs from the others, so only b <-> c may merge closures
+        (tight_max_support(3)[0], SKEWED, [(0, 1, 2), (0, 2, 1)], 1, 1),
+        (coppersmith_winograd(2).support(), SKEWED, [(0, 1, 2), (0, 2, 1)], 6, 4),
+    ],
+    ids=["m1-sum(3)", "cw-small(2)", "t-max(3)-skewed", "cw-small(2)-skewed"],
+)
+def test_zeta_min_runs_one_ascent_per_axis_swap_class(monkeypatch, s, weights, swaps, n_minimal, n_classes):
+    closures = {_closure(moved) for moved in _moved(s)}
+    minimal = [m for m in closures if not any(other < m for other in closures)]
+    classes = {frozenset(frozenset((t[g[0]], t[g[1]], t[g[2]]) for t in m) for g in swaps) for m in minimal}
+    assert (len(minimal), len(classes)) == (n_minimal, n_classes)
+    calls = []
+    real = spectral.zeta_full
+    monkeypatch.setattr(spectral, "zeta_full", lambda *args: calls.append(args) or real(*args))
+    res = zeta_min_over_axis_orders(s, weights)
+    assert res.status == "ok" and len(calls) == len(classes)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [tight_max_support(3)[0], tight_max_support(4)[0], random_support(random.Random(48), Shape(4, 4, 4), 0.3)],
+    ids=["t-max(3)", "t-max(4)", "random-4x4x4"],
+)
+@pytest.mark.parametrize(
+    "weights", [UNIFORM, SpectralWeights(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))], ids=["uniform", "distinct"]
+)
+def test_zeta_min_invariant_under_relabelling_and_axis_swap(s, weights):
+    base = zeta_min_over_axis_orders(s, weights).value
+    rng = random.Random(49)
+    relabel = AxisPermutations(*(tuple(rng.sample(range(n), n)) for n in s.shape))
+    assert abs(zeta_min_over_axis_orders(apply_permutations(s, relabel), weights).value - base) <= 1e-6
+    a, b, c = s.shape
+    swapped = Support(Shape(b, a, c), tuple((j, i, k) for (i, j, k) in s.triples))
+    swapped_weights = SpectralWeights(weights.theta_b, weights.theta_a, weights.theta_c)
+    assert abs(zeta_min_over_axis_orders(swapped, swapped_weights).value - base) <= 1e-6
 
 
 def test_zeta_full_raises_at_the_iteration_cap(monkeypatch, tmp_path, capsys):
