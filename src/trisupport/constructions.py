@@ -191,11 +191,14 @@ CATALOG_IDS = tuple(CATALOG)
 
 
 def construct(catalog_id: str, param: Optional[int] = None) -> Tensor | tuple[Support, TightWitness] | Support:
-    """Build a catalog entry by name.  Parametrized ids require param >= 1."""
+    """Build a catalog entry by name.  Parametrized ids require param >= 1;
+    the others take none."""
     if catalog_id not in CATALOG:
         raise ValueError(f"unknown catalog id {catalog_id!r}; known: {', '.join(CATALOG_IDS)}")
     build, sized = CATALOG[catalog_id]
     if not sized:
+        if param is not None:
+            raise ValueError(f"catalog id {catalog_id!r} takes no parameter")
         return build()
     if param is None:
         raise ValueError(f"catalog id {catalog_id!r} requires a parameter")

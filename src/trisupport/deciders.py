@@ -201,8 +201,7 @@ def _oblique_search(s: Support) -> Iterator[tuple[int, Optional[AxisPermutations
             if len(order_b) < b:
                 continue
             rank_b = _ranks(order_b)
-            edges_c = _precedence(_third_axis_edges(rest, rank_a, rank_b))
-            order_c = None if edges_c is None else _smallest_topological_order(c, edges_c)
+            order_c = _smallest_topological_order(c, _third_axis_edges(rest, rank_a, rank_b))
             yield 1, (None if order_c is None else AxisPermutations(rank_a, rank_b, _ranks(order_c)))
 
 
@@ -254,16 +253,6 @@ def _third_axis_edges(
             yield q[2], p[2]
 
 
-def _precedence(edges: Iterable[tuple[int, int]]) -> Optional[set[tuple[int, int]]]:
-    """The forced edges (u, v), u placed before v, or None if two are opposite."""
-    out: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if (v, u) in out:
-            return None
-        out.add((u, v))
-    return out
-
-
 def _extension_prefixes(n: int, edges: set[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
     """Every prefix of every linear extension of `edges` on range(n), depth
     first and in lexicographic order: a value can be placed exactly when all
@@ -279,8 +268,10 @@ def _extension_prefixes(n: int, edges: set[tuple[int, int]]) -> Iterator[tuple[i
     return grow((), set())
 
 
-def _smallest_topological_order(n: int, edges: set[tuple[int, int]]) -> Optional[list[int]]:
-    """Kahn's algorithm with a heap; None when the edges close a cycle."""
+def _smallest_topological_order(n: int, edges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
+    """Kahn's algorithm with a heap; None when the edges close a cycle, two
+    opposite edges included.  A repeated edge is counted once per copy at
+    both ends, so it changes nothing."""
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for u, v in edges:

@@ -3,11 +3,15 @@
 Rows are dicts column -> integer; `integerize` clears the denominators of a
 rational vector and strips its content.
 
+One pivot loop, `_eliminate`, serves both exact paths: it takes the
+sparsest column, then its sparsest row, ties to the lower index, over Z
+(p = 0) or mod a prime p.  One back-substitution, `_kernel_vector`, reads its
+output.
+
 `nullspace` is a certified modular solver:
 
-1. Eliminate mod a fixed 61-bit prime p with the pivot rule of
-   `Echelon._reduce` (sparsest column, then sparsest row, ties to the lower
-   index), the pivot row made monic and no gcd stripping.
+1. Eliminate mod a fixed 61-bit prime p, the pivot row made monic and no gcd
+   stripping.
 2. Back-substitute mod p one kernel vector per free column: 1 on that column,
    0 on the other free columns.
 3. Combine the residues of successive fixed primes by CRT and rationally
@@ -26,9 +30,9 @@ an intermediate entry of the rational elimination.  `nullspace` falls back to
 `Echelon` when a later prime's free set differs from the first one's (an
 unlucky prime), or when the fixed primes run out before every vector verifies.
 
-`Echelon` is fraction-free: new_row = pivot * row - factor * pivot_row,
-followed by a gcd strip, so no rounding can ever occur and entries stay
-moderate.  It serves `rank`, the fallback and the tests' reference.
+`Echelon` is the same loop with p = 0, fraction-free: new_row = pivot * row -
+factor * pivot_row, followed by a gcd strip, so no rounding can ever occur and
+entries stay moderate.  It serves `rank` and the fallback.
 """
 
 from __future__ import annotations
@@ -79,110 +83,26 @@ def _strip(row: SparseRow) -> SparseRow:
     return row
 
 
-class Echelon:
-    """Sparse echelon form with recorded pivot columns."""
+def _eliminate(rows: Iterable[SparseRow], p: int = 0) -> tuple[list[SparseRow], list[int]]:
+    """The pivot rows and their pivot columns, in elimination order, of `rows`
+    over Z (p = 0) or mod the prime p.
 
-    def __init__(self, rows: Iterable[SparseRow], ncols: int):
-        self.ncols = ncols
-        self.pivot_rows: list[SparseRow] = []
-        self.pivot_cols: list[int] = []
-        self._reduce([dict(r) for r in rows if r])
-
-    def _reduce(self, active: list[SparseRow]) -> None:
-        # col -> set of active row ids currently hitting it
-        col_rows: dict[int, set[int]] = {}
-        rows: dict[int, SparseRow] = {i: r for i, r in enumerate(active)}
-        for i, r in rows.items():
-            for c in r:
-                col_rows.setdefault(c, set()).add(i)
-        while rows:
-            pc = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-            cands = col_rows[pc]
-            pi = min(cands, key=lambda i: (len(rows[i]), i))
-            prow = rows.pop(pi)
-            for c in prow:
-                col_rows[c].discard(pi)
-                if not col_rows[c]:
-                    del col_rows[c]
-            pv = prow[pc]
-            for i in list(col_rows.get(pc, ())):
-                r = rows[i]
-                f = r[pc]
-                new: SparseRow = {}
-                for c, v in r.items():
-                    w = v * pv - f * prow.get(c, 0)
-                    if w:
-                        new[c] = w
-                for c in prow:
-                    if c not in r:
-                        w = -f * prow[c]
-                        if w:
-                            new[c] = w
-                new = _strip(new)
-                for c in r:
-                    col_rows[c].discard(i)
-                    if not col_rows[c]:
-                        del col_rows[c]
-                if new:
-                    rows[i] = new
-                    for c in new:
-                        col_rows.setdefault(c, set()).add(i)
-                else:
-                    del rows[i]
-            self.pivot_rows.append(prow)
-            self.pivot_cols.append(pc)
-        # pivot rows are kept in elimination order: the row chosen at step t
-        # contains no pivot column of steps < t, so reverse-order substitution
-        # only ever references already-solved pivots.
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
-
-    def free_cols(self) -> list[int]:
-        pivots = set(self.pivot_cols)
-        return [c for c in range(self.ncols) if c not in pivots]
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """One exact basis vector per free column, in ascending column order."""
-        basis: list[list[Fraction]] = []
-        for f in self.free_cols():
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for r in range(len(self.pivot_cols) - 1, -1, -1):
-                row = self.pivot_rows[r]
-                pc = self.pivot_cols[r]
-                s = Fraction(0)
-                for c, v in row.items():
-                    if c != pc:
-                        s += v * vec[c]
-                vec[pc] = -s / row[pc]
-            basis.append(vec)
-        return basis
-
-
-def rank(rows: Iterable[SparseRow], ncols: int) -> int:
-    return Echelon(rows, ncols).rank
-
-
-# ---------------------------------------------------------------------------
-# Certified modular nullspace
-# ---------------------------------------------------------------------------
-
-def _eliminate_mod(rows: list[SparseRow], p: int) -> tuple[list[SparseRow], list[int]]:
-    """`Echelon._reduce` mod p with monic pivot rows.
-
-    Row ids are positions in `rows`, which holds no empty row, so ties break
-    as in `Echelon`.  Only the pivot row's columns of a reduced row change, so
-    only those are re-indexed, and only their counts are pushed again on the
-    heap that stands in for Echelon's min over all columns.  Its keys are
-    count * width + column, so the smallest is Echelon's choice once entries
-    whose count is stale are dropped from the top.
+    The pivot is the sparsest column, then its sparsest row, ties to the lower
+    index; row ids are positions in `rows`.  Over Z a row r hitting the pivot
+    column becomes pv r - f prow, gcd-stripped; mod p the pivot row is made
+    monic and r becomes r - f prow.  Either way only the pivot row's columns
+    of r can appear or vanish, so only those are re-indexed, and only their
+    counts are pushed again on the heap that stands in for a min over all
+    columns.  Its keys are count * width + column, so the smallest is the
+    rule's choice once entries whose count is stale are dropped from the top;
+    a column whose rows are all gone keeps an empty set, which no key matches.
+    The row chosen at step t holds no pivot column of the steps before, so
+    back-substitution in reverse order reads only solved pivots.
     """
     active: dict[int, SparseRow] = {}
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
-        rp = {c: w for c, v in r.items() if (w := v % p)}
+        rp = {c: w for c, v in r.items() if (w := v % p if p else v)}
         if rp:
             active[i] = rp
             for c in rp:
@@ -203,58 +123,96 @@ def _eliminate_mod(rows: list[SparseRow], p: int) -> tuple[list[SparseRow], list
         pi = min(cands, key=lambda i: (len(active[i]), i))
         cands.discard(pi)
         prow = active.pop(pi)
-        inv = pow(prow[pc], -1, p)
-        if inv != 1:
+        pv = prow[pc]
+        if p and pv != 1:
+            inv = pow(pv, -1, p)
             prow = {c: v * inv % p for c, v in prow.items()}
         others = [(c, v) for c, v in prow.items() if c != pc]
         for c, _v in others:
-            hit = col_rows[c]
-            hit.discard(pi)
-            if not hit:
-                del col_rows[c]
+            col_rows[c].discard(pi)
+        # one update loop per arithmetic, so that no entry tests p
         for i in cands:
             r = active[i]
             f = r.pop(pc)
-            for c, v in others:
-                old = r.get(c)
-                if old is None:
-                    r[c] = -f * v % p
-                    col_rows.setdefault(c, set()).add(i)
-                else:
-                    w = (old - f * v) % p
-                    if w:
+            if p:
+                for c, v in others:
+                    old = r.get(c)
+                    if old is None:
+                        r[c] = -f * v % p
+                        col_rows.setdefault(c, set()).add(i)
+                    elif w := (old - f * v) % p:
                         r[c] = w
                     else:
                         del r[c]
-                        hit = col_rows[c]
-                        hit.discard(i)
-                        if not hit:
-                            del col_rows[c]
+                        col_rows[c].discard(i)
+            else:
+                for c in r:
+                    r[c] *= pv
+                for c, v in others:
+                    old = r.get(c)
+                    if old is None:
+                        r[c] = -f * v
+                        col_rows.setdefault(c, set()).add(i)
+                    elif w := old - f * v:
+                        r[c] = w
+                    else:
+                        del r[c]
+                        col_rows[c].discard(i)
+                r = active[i] = _strip(r)
             if not r:
                 del active[i]
         for c, _v in others:
-            hit = col_rows.get(c)
-            if hit:
+            if hit := col_rows[c]:
                 heappush(heap, len(hit) * width + c)
         pivot_rows.append(prow)
         pivot_cols.append(pc)
     return pivot_rows, pivot_cols
 
 
-def _kernel_vector_mod(
-    pivot_rows: list[SparseRow], pivot_cols: list[int], free: int, ncols: int, p: int
-) -> list[int]:
-    vec = [0] * ncols
-    vec[free] = 1
-    # vec[pc] is still 0 and the pivot entry is 1, so the whole row can be summed
-    for t in range(len(pivot_cols) - 1, -1, -1):
+def _kernel_vector(
+    pivot_rows: list[SparseRow], pivot_cols: list[int], free: int, ncols: int, p: int = 0
+) -> list:
+    """The kernel vector that is 1 on column `free` and 0 on the other free
+    columns: residues mod p, or Fractions when p = 0."""
+    vec = [0 if p else _ZERO] * ncols
+    vec[free] = 1 if p else Fraction(1)
+    # vec[pc] is still 0 when its row is reached, so the whole row can be summed
+    for row, pc in zip(reversed(pivot_rows), reversed(pivot_cols)):
         s = 0
-        for c, v in pivot_rows[t].items():
+        for c, v in row.items():
             s += v * vec[c]
         if s:
-            vec[pivot_cols[t]] = -s % p
+            vec[pc] = -s % p if p else Fraction(-s, row[pc])
     return vec
 
+
+class Echelon:
+    """Sparse echelon form over Z with recorded pivot columns."""
+
+    def __init__(self, rows: Iterable[SparseRow], ncols: int):
+        self.ncols = ncols
+        self.pivot_rows, self.pivot_cols = _eliminate(rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    def free_cols(self) -> list[int]:
+        pivots = set(self.pivot_cols)
+        return [c for c in range(self.ncols) if c not in pivots]
+
+    def nullspace(self) -> list[list[Fraction]]:
+        """One exact basis vector per free column, in ascending column order."""
+        return [_kernel_vector(self.pivot_rows, self.pivot_cols, f, self.ncols) for f in self.free_cols()]
+
+
+def rank(rows: Iterable[SparseRow], ncols: int) -> int:
+    return Echelon(rows, ncols).rank
+
+
+# ---------------------------------------------------------------------------
+# Certified modular nullspace
+# ---------------------------------------------------------------------------
 
 def _rational(u: int, m: int, bound: int) -> Optional[Fraction]:
     """The n/d with |n|, d <= bound and n = u d (mod m), or None (Wang 1981)."""
@@ -314,7 +272,7 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
     done: dict[int, list[Fraction]] = {}
     m = 1
     for p in PRIMES:
-        pivot_rows, pivot_cols = _eliminate_mod(rows, p)
+        pivot_rows, pivot_cols = _eliminate(rows, p)
         pivots = set(pivot_cols)
         free_p = [c for c in range(ncols) if c not in pivots]
         if free is None:
@@ -325,7 +283,7 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
         for f in free:
             if f in done:
                 continue
-            vec = _kernel_vector_mod(pivot_rows, pivot_cols, f, ncols, p)
+            vec = _kernel_vector(pivot_rows, pivot_cols, f, ncols, p)
             acc = residues.setdefault(f, vec)
             if acc is not vec:
                 for c, (a, b) in enumerate(zip(acc, vec)):

@@ -54,9 +54,11 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     code = main(["decide", "tight", "--in", str(bad)])
     capsys.readouterr()
     assert code == EXIT_INVALID
-    code = main(["construct", "t-max"])
-    capsys.readouterr()
-    assert code == EXIT_INVALID
+    for argv in (["construct", "t-max"], ["construct", "oblique-not-tight-4", "7"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID, argv
+        assert captured.err.startswith("error:") and captured.out == "", argv
     support_file = tmp_path / "d2.json"
     run(capsys, "construct", "m1-sum", "2", "--out", str(support_file))
     for argv in (

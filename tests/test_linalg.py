@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import _dense_rank
 from trisupport import linalg
 from trisupport.constructions import (
     coppersmith_winograd,
@@ -16,7 +17,7 @@ from trisupport.core import Shape, direct_sum, kronecker
 from trisupport.deciders import decide_tight
 from trisupport.linalg import PRIMES, Echelon, modular_nullspace, nullspace
 from trisupport.sampling import generic_tensor_on, random_concise_tensor, random_support
-from trisupport.symmetry import LieElement, _action_rows, annihilator, lie_apply
+from trisupport.symmetry import LieElement, _action_rows, annihilator, lie_apply, tensor_flattening_rows
 
 
 def _random_system(rng, nrows, ncols, bound):
@@ -33,13 +34,18 @@ def _random_system(rng, nrows, ncols, bound):
     return rows
 
 
+def _oracle_rank(rows, ncols):
+    """The rank by dense Fraction elimination, which shares no code with `linalg`."""
+    return _dense_rank([[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows], ncols)
+
+
 def _assert_certified(rows, ncols, basis):
     """What `modular_nullspace` claims, checked with Fractions: there are
-    ncols - rank vectors, they are the identity on the free columns, and each
-    is an exact kernel vector."""
-    ech = Echelon(rows, ncols)
-    assert len(basis) == ncols - ech.rank
-    free = ech.free_cols()
+    ncols - rank vectors (the rank from the dense oracle), they are the
+    identity on the free columns, and each is an exact kernel vector."""
+    assert len(basis) == ncols - _oracle_rank(rows, ncols)
+    free = Echelon(rows, ncols).free_cols()
+    assert len(free) == len(basis)
     for f, vec in zip(free, basis):
         assert [vec[g] for g in free] == [Fraction(f == g) for g in free]
         for r in rows:
@@ -94,8 +100,8 @@ def test_prime_dividing_the_pivot_falls_back(monkeypatch):
     p = PRIMES[0]
     rows = [{0: 2 * p, 1: 3, 2: 5}, {1: 1, 2: 1}]
     primes_used = []
-    eliminate = linalg._eliminate_mod
-    monkeypatch.setattr(linalg, "_eliminate_mod", lambda rows, q: primes_used.append(q) or eliminate(rows, q))
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, q=0: primes_used.append(q) or eliminate(rows, q))
     assert modular_nullspace(rows, 3) is None
     # the second prime's free set differs, so the remaining primes are not tried
     assert primes_used == list(PRIMES[:2])
@@ -143,6 +149,18 @@ def _tensor_corpus():
     ]
     corpus += [generic_tensor_on(random_support(rng, Shape(3, 3, 3), 0.4), rng) for _ in range(5)]
     return corpus
+
+
+def test_rank_matches_dense_oracle():
+    rng = random.Random(36)
+    for _ in range(200):
+        ncols = rng.randint(1, 14)
+        rows = _random_system(rng, rng.randint(0, 14), ncols, rng.choice((1, 9, 1000)))
+        assert linalg.rank(rows, ncols) == _oracle_rank(rows, ncols)
+    for t in _tensor_corpus():
+        for axis in range(3):
+            rows, ncols = tensor_flattening_rows(t, axis)
+            assert linalg.rank(rows, ncols) == _oracle_rank(rows, ncols)
 
 
 def test_annihilator_bases_match_echelon():
