@@ -83,7 +83,7 @@ def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
     targets = (a1, b1, c1)
     for want, have in zip(targets, dims):
         if not 0 <= want <= have:
-            raise ValueError(f"requested box {targets} exceeds shape {dims}")
+            raise ValueError(f"box sizes must lie between 0 and the shape {dims}, got {targets}")
 
     axes = sorted(range(3), key=lambda d: (targets[d], d))
     d0, d1, d2 = axes

@@ -4,6 +4,9 @@ Tightness is decided by an exact rational nullspace computation: the support's
 incidence system has an injective integer solution iff no coordinate-difference
 functional vanishes identically on the solution space (over an infinite field a
 linear space lies in a finite union of hyperplanes iff it lies in one of them).
+Before any elimination, two kinds of row combination that equal such a
+difference refute tightness: two triples agreeing on two axes (the support is
+not free), then an intercalate of four triples in a free support.
 Obliqueness is decided by the tight fast path or by an exhaustive backtracking
 search over axis orders within a node budget; freeness checks that the three
 pair projections of the support are injective.
@@ -109,12 +112,54 @@ def _injective_witness(
     return None if ints is None else TightWitness(*(ints[lo:hi] for lo, hi in blocks))
 
 
+def not_tight_certificate(s: Support) -> Optional[tuple[Triple, ...]]:
+    """Two or four triples whose incidence rows, taken with signs + - or
+    + - - +, sum to c (e_u - e_v) for two values u != v of one axis, so that
+    every solution weights u and v alike; None when there are none of
+    either kind.
+
+    Two triples that agree on two axes give r1 - r2 = e_u - e_v, and exist
+    exactly when the support is not free.  In a free support an intercalate
+    (i, j, k), (i, j', k'), (i', j, k'), (i', j', k) gives
+    r1 - r2 - r3 + r4 = 2 (e_k - e_k').  Its first two triples share a
+    first-axis value, so one pass over such pairs with the (j, k) -> triple
+    map finds it, at O(sum of squared first-axis degrees).
+    """
+    projections: list[dict[tuple[int, ...], Triple]] = []
+    for d in range(3):
+        seen: dict[tuple[int, ...], Triple] = {}
+        for t in s.triples:
+            key = t[:d] + t[d + 1:]
+            if key in seen:
+                return seen[key], t
+            seen[key] = t
+        projections.append(seen)
+    by_jk = projections[0]
+    by_i: dict[int, list[Triple]] = {}
+    for t in s.triples:
+        by_i.setdefault(t[0], []).append(t)
+    for row in by_i.values():
+        for p, q in itertools.combinations(row, 2):
+            r = by_jk.get((p[1], q[2]))
+            if r is not None:
+                u = by_jk.get((q[1], p[2]))
+                if u is not None and u[0] == r[0]:
+                    return p, q, r, u
+    return None
+
+
 def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
     """Return a verified witness if the support is tight, else None.
 
-    The witness is an injective integer combination of exact nullspace basis
-    vectors (`linalg.injective_combination`).
+    Checks run in this order.  A `not_tight_certificate` (two triples that
+    agree on two axes, else an intercalate) answers None before any
+    elimination.  Otherwise the witness is an injective integer combination
+    of exact nullspace basis vectors of the incidence system
+    (`linalg.injective_combination`), and None means that some difference of
+    two values of one axis vanishes on the whole kernel.
     """
+    if not_tight_certificate(s) is not None:
+        return None
     rows, ncols = _incidence_rows(s)
     witness = _injective_witness(linalg.nullspace(rows, ncols), s.shape, seed)
     if witness is not None and not witness.certifies(s):
@@ -365,7 +410,7 @@ def _maximal_independent_sets(n: int, adj: list[int]) -> list[int]:
         u = pux
         while u:
             v = (u & -u).bit_length() - 1
-            cnt = bin(p & inc[v]).count("1")
+            cnt = (p & inc[v]).bit_count()
             if cnt > best_cnt:
                 best_u, best_cnt = v, cnt
             u &= u - 1

@@ -60,7 +60,7 @@ PRIMES = (
 _ZERO = Fraction(0)
 
 
-def integerize(values: Iterable[Fraction]) -> list[int]:
+def integerize(values: Iterable[Fraction | int]) -> list[int]:
     """The primitive integer vector on the ray of `values`: scale by the lcm of
     the denominators, then divide by the gcd of the results (signs kept)."""
     values = list(values)
@@ -323,24 +323,28 @@ def injective_combination(
     of entries in a block agrees on every vector.  The blocks are consecutive
     ranges [lo, hi) that partition the entries.
 
-    Otherwise injectivity is generic on the span, so 64 seeded random
-    combinations are tried first.  The fallback (1, n, n^2, ...) sweep ends:
-    each entry difference is a nonzero polynomial in n of degree below
-    len(vectors), so some n below pairs * (len(vectors) - 1) + 2 works.
+    The work is in integers: the vectors are scaled once by the lcm D > 0 of
+    their denominators, which moves no combination off its ray, and a block
+    has an agreeing pair exactly when two of its columns (the tuples of one
+    entry over all vectors) hash alike.  Otherwise injectivity is generic on
+    the span, so 64 seeded random combinations are tried first.  The
+    fallback (1, n, n^2, ...) sweep ends: each entry difference is a nonzero
+    polynomial in n of degree below len(vectors), so some n below
+    pairs * (len(vectors) - 1) + 2 works.
     """
-    for lo, hi in blocks:
-        for i in range(lo, hi):
-            for i2 in range(i + 1, hi):
-                if all(vec[i] == vec[i2] for vec in vectors):
-                    return None
+    den = lcm(*(v.denominator for vec in vectors for v in vec))
+    scaled = [[v.numerator * (den // v.denominator) for v in vec] for vec in vectors]
     width = blocks[-1][1] if blocks else 0
+    columns = list(zip(*scaled)) if scaled else [()] * width
+    for lo, hi in blocks:
+        if len(set(columns[lo:hi])) != hi - lo:
+            return None
 
     def combine(coeffs: list[int]) -> Optional[list[int]]:
-        vec = [_ZERO] * width
-        for c, bvec in zip(coeffs, vectors):
+        vec = [0] * width
+        for c, ivec in zip(coeffs, scaled):
             if c:
-                for idx in range(width):
-                    vec[idx] += c * bvec[idx]
+                vec = [x + c * y for x, y in zip(vec, ivec)]
         for lo, hi in blocks:
             if len(set(vec[lo:hi])) != hi - lo:
                 return None

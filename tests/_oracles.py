@@ -8,13 +8,17 @@ index subsets (sharing no code with trisupport.compress), the
 incompressibility-set oracle tests every grid triple against every support
 triple, the stabilizer and annihilator oracles rank their full dense systems
 by plain Fraction elimination (sharing no code with trisupport.linalg or
-trisupport.symmetry), and the functional oracle is a simplex grid sweep.
+trisupport.symmetry), the injective-combination oracle combines Fractions
+pairwise where trisupport.linalg hashes integer columns, and the functional
+oracle is a simplex grid sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -284,6 +288,45 @@ def _dense_rank(rows: list[list[Fraction]], ncols: int) -> int:
         rank += 1
     return rank
 
+
+
+def oracle_injective_combination(vectors, blocks, seed: int = 0):
+    """`linalg.injective_combination` as it was in Fractions: an agreeing
+    pair of entries in a block is found by comparing every pair on every
+    vector, and each combination is summed in Fractions and then scaled to
+    its primitive integer vector.  The same seeded draws and the same
+    (1, n, n^2, ...) sweep follow."""
+    for lo, hi in blocks:
+        for i in range(lo, hi):
+            for i2 in range(i + 1, hi):
+                if all(vec[i] == vec[i2] for vec in vectors):
+                    return None
+    width = blocks[-1][1] if blocks else 0
+
+    def combine(coeffs):
+        vec = [Fraction(0)] * width
+        for c, bvec in zip(coeffs, vectors):
+            if c:
+                for idx in range(width):
+                    vec[idx] += c * bvec[idx]
+        for lo, hi in blocks:
+            if len(set(vec[lo:hi])) != hi - lo:
+                return None
+        den = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (den // v.denominator) for v in vec]
+        g = gcd(*ints)
+        return [v // g for v in ints] if g > 1 else ints
+
+    d = len(vectors)
+    rng = random.Random(seed)
+    for _ in range(64):
+        found = combine([rng.randint(-16, 16) for _ in range(d)])
+        if found is not None:
+            return found
+    n = sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in blocks) + 1
+    while (found := combine([n**t for t in range(d)])) is None:
+        n += 1
+    return found
 
 def oracle_annihilator_dim(t: Tensor) -> int:
     """Annihilator dimension from the dense matrix of the Leibniz action.

@@ -64,11 +64,13 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     for argv in (
         ["zeta", "--theta", "1/0", "0", "1"],
         ["decide", "oblique", "--budget", "-5"],
+        ["compress", "box", "--dims", "-1", "1", "1"],
     ):
         code = main(argv + ["--in", str(support_file)])
         captured = capsys.readouterr()
         assert code == EXIT_INVALID, argv
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "sizes must lie between 0 and the shape" in captured.err
     # usage errors exit 1 as well (argparse's own code 2 means unknown here), and --help still exits 0;
     # only the oblique search takes a node budget
     for argv in (

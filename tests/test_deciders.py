@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from _oracles import oracle_free, oracle_max_antichain, oracle_oblique, oracle_tight
 from _reference import M3_ORBIT_REPRESENTATIVES
-from trisupport import deciders
+from trisupport import deciders, linalg
 from trisupport.constructions import matmul, oblique_not_tight_4, tight_max_support, free_max_support
 from trisupport.core import Shape, Support, apply_permutations, is_concise_support
 from trisupport.deciders import (
@@ -18,6 +19,7 @@ from trisupport.deciders import (
     is_antichain,
     is_free,
     max_oblique_size,
+    not_tight_certificate,
 )
 from trisupport.sampling import random_support
 
@@ -89,6 +91,65 @@ def test_decide_tight_agrees_with_bounded_oracle():
     for _ in range(60):
         s = Support(shape, tuple(rng.sample(verts, rng.randint(2, 5))))
         assert oracle_tight(s) == (decide_tight(s) is not None)
+
+
+def _refutation_draws(rng, count):
+    """Seeded supports on non-cubical shapes up to 9x9x9: random ones, which
+    are mostly not free, and greedy free ones."""
+    for n in range(count):
+        shape = Shape(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9))
+        if n % 2:
+            yield random_support(rng, shape, rng.uniform(0.02, 0.3))
+        else:
+            yield _free_support(rng, shape, rng.randint(1, shape.a * shape.b))
+
+
+def _assert_refutes(s, cert):
+    """The certifying triples lie in the support, and their dense incidence
+    rows with signs + - (two triples) or + - - + (four) sum to c (e_u - e_v)
+    for c != 0 and two values u != v of one axis."""
+    assert len(set(cert)) == len(cert) in (2, 4) and set(cert) <= set(s.triples), cert
+    a, b, c = s.shape
+    total = [0] * (a + b + c)
+    for sign, (i, j, k) in zip((1, -1, -1, 1) if len(cert) == 4 else (1, -1), cert):
+        for col in (i, a + j, a + b + k):
+            total[col] += sign
+    nonzero = [col for col, v in enumerate(total) if v]
+    assert len(nonzero) == 2 and total[nonzero[0]] == -total[nonzero[1]], (cert, total)
+    axis = [0 if col < a else 1 if col < a + b else 2 for col in nonzero]
+    assert axis[0] == axis[1], (cert, total)
+
+
+def test_not_tight_certificates_verify_and_agree_with_the_exact_path(monkeypatch):
+    draws = list(_refutation_draws(random.Random(17), 600))
+    certs = [not_tight_certificate(s) for s in draws]
+    got = [decide_tight(s) for s in draws]
+    monkeypatch.setattr(deciders, "not_tight_certificate", lambda s: None)
+    assert got == [decide_tight(s) for s in draws]
+    kinds = Counter()
+    for s, cert in zip(draws, certs):
+        if cert is not None:
+            _assert_refutes(s, cert)
+            kinds[len(cert), is_free(s)] += 1
+        else:
+            kinds[0, is_free(s)] += 1
+    # both refutations occur, and so do inputs left to the exact path
+    assert set(kinds) == {(2, False), (4, True), (0, True)}, kinds
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_tight_and_intercalate_free_supports_are_not_refuted(monkeypatch):
+    for m in range(2, 13):
+        assert not_tight_certificate(tight_max_support(m)[0]) is None
+    # no intercalate, yet not tight: the exact path still answers None
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: calls.append(ncols) or nullspace(rows, ncols))
+    supports = [oblique_not_tight_4().support()] + [free_max_support(m) for m in (3, 5, 7)]
+    for s in supports:
+        assert not_tight_certificate(s) is None
+        assert decide_tight(s) is None
+    assert len(calls) == len(supports)
 
 
 def test_tight_implies_oblique_implies_free():

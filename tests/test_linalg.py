@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import _dense_rank
+from _oracles import _dense_rank, oracle_injective_combination
 from trisupport import linalg
 from trisupport.constructions import (
     coppersmith_winograd,
@@ -182,6 +182,54 @@ def test_decide_tight_witnesses_match_echelon(monkeypatch):
     want = [decide_tight(s, seed=3) for s in supports]
     assert got == want
     assert any(w is not None for w in got) and any(w is None for w in got)
+
+
+def _combination_draws(rng, count):
+    """(vectors, blocks, seed) with mixed denominators: empty vector lists,
+    size-1 blocks, and blocks where a copied entry makes the answer None."""
+    for _ in range(count):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))]
+        blocks, lo = [], 0
+        for size in sizes:
+            blocks.append((lo, lo + size))
+            lo += size
+        vectors = [
+            [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(lo)]
+            for _ in range(rng.randint(0, 4))
+        ]
+        if vectors and lo >= 2 and rng.random() < 0.25:
+            src, dst = rng.sample(range(lo), 2)
+            for vec in vectors:
+                vec[dst] = vec[src]
+        yield vectors, blocks, rng.randint(0, 1000)
+
+
+def test_injective_combination_matches_fraction_oracle():
+    answers = []
+    for vectors, blocks, seed in _combination_draws(random.Random(37), 600):
+        got = linalg.injective_combination(vectors, blocks, seed)
+        assert got == oracle_injective_combination(vectors, blocks, seed), (vectors, blocks, seed)
+        answers.append(got)
+    assert sum(a is None for a in answers) >= 100 and sum(a is not None for a in answers) >= 300
+    assert linalg.injective_combination([], [(0, 1), (1, 2)]) == [0, 0]
+    assert linalg.injective_combination([], [(0, 2)]) is None
+
+
+def test_injective_combination_sweep_matches_fraction_oracle(monkeypatch):
+    # every seeded draw is the zero combination, so each answer that is not
+    # None comes from the (1, n, n^2, ...) sweep
+    class ZeroDraws(random.Random):
+        def randint(self, a, b):
+            return 0
+
+    draws = list(_combination_draws(random.Random(38), 200))
+    monkeypatch.setattr(random, "Random", ZeroDraws)
+    swept = 0
+    for vectors, blocks, seed in draws:
+        got = linalg.injective_combination(vectors, blocks, seed)
+        assert got == oracle_injective_combination(vectors, blocks, seed), (vectors, blocks, seed)
+        swept += got is not None and any(hi - lo > 1 for lo, hi in blocks)
+    assert swept >= 50
 
 
 def _dense_lie_apply(elem, t):
