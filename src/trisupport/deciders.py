@@ -154,7 +154,7 @@ def decide_tight(s: Support, seed: int = 0) -> Optional[TightWitness]:
     Checks run in this order.  A `not_tight_certificate` (two triples that
     agree on two axes, else an intercalate) answers None before any
     elimination.  Otherwise the witness is an injective integer combination
-    of exact nullspace basis vectors of the incidence system
+    of the canonical exact kernel basis of the incidence system
     (`linalg.injective_combination`), and None means that some difference of
     two values of one axis vanishes on the whole kernel.
     """

@@ -3,43 +3,51 @@
 Rows are dicts column -> integer; `integerize` clears the denominators of a
 rational vector and strips its content.
 
-One pivot loop, `_eliminate`, serves both exact paths: it takes the
-sparsest column, then its sparsest row, ties to the lower index, over Z
-(p = 0) or mod a prime p.  One back-substitution, `_kernel_vector`, reads its
-output.
+One loop, `_kernel`, serves both exact paths, over Z (p = 0) or mod a prime
+p.  It updates a kernel basis row by row, from the identity: a row whose
+products with the kernel vectors all vanish is dependent and skipped, and
+otherwise the vector of the highest free column the row hits is eliminated
+from the others.  The surviving vectors are the identity on the free
+columns, so there is no back-substitution.  Because the pivot is always the
+highest column hit, the free set is {c : column c lies in the span of the
+columns after it}, and each vector is the unique kernel vector that is the
+identity on it.  Both depend only on the kernel, not on the row order, on
+which rows are dependent, or on any elimination heuristic.
 
 `nullspace` is a certified modular solver:
 
-1. Eliminate mod a fixed 61-bit prime p, the pivot row made monic and no gcd
-   stripping.
-2. Back-substitute mod p one kernel vector per free column: 1 on that column,
-   0 on the other free columns.
-3. Combine the residues of successive fixed primes by CRT and rationally
-   reconstruct each entry (Wang 1981).  A vector is accepted once its
-   integerization satisfies every integer input row exactly (A v = 0); the
+1. Run `_kernel` mod a fixed 61-bit prime p on every row.  The rows it keeps
+   are independent mod p, so independent over Q, and span the rest mod p.
+2. Run each later prime on the kept rows only.  A prime whose free set
+   differs from the first one's is unlucky: `nullspace` falls back to
+   `Echelon`.
+3. Combine the residues of successive primes by CRT and rationally
+   reconstruct each entry (Wang 1981).  A vector is accepted once it
+   satisfies every input row exactly (A v = 0), dependent rows included; the
    others wait for the next prime.
-4. The rank mod p is at most the rank over Q.  So ncols - rank_p accepted
-   vectors, independent because they are the identity on the free set, leave
-   no room for more: they are exactly the rational kernel basis with that free
-   set.
+4. The rank of all rows mod p is the number of kept rows, which is at most
+   the rank over Q.  So ncols - rank_p accepted vectors, independent because
+   they are the identity on the free set, leave no room for more: they are a
+   rational kernel basis.  Each is zero off its free column and the columns
+   after it, so every free column lies in the span of the columns after it
+   over Q, and the free set and the basis are the canonical ones.
 
-A vector with a given free set is the unique kernel vector that is the
-identity on it, so the result equals `Echelon(rows, ncols).nullspace()`
-whenever p leaves the pivot sequence unchanged, which fails only if p divides
-an intermediate entry of the rational elimination.  `nullspace` falls back to
-`Echelon` when a later prime's free set differs from the first one's (an
-unlucky prime), or when the fixed primes run out before every vector verifies.
+So the result equals `Echelon(rows, ncols).nullspace()` by construction.  A
+row subset is all the certificate needs, because acceptance is checked
+against all rows.  If the first prime drops the rank, the kept rows' kernel
+is larger than A's, its vectors never verify, and the fixed primes run out:
+`nullspace` falls back to `Echelon` then too.
 
-`Echelon` is the same loop with p = 0, fraction-free: new_row = pivot * row -
-factor * pivot_row, followed by a gcd strip, so no rounding can ever occur and
-entries stay moderate.  It serves `rank` and the fallback.
+`Echelon` is the same loop with p = 0, fraction-free: v <- pv v - w pvec,
+followed by a gcd strip, so every vector stays the primitive integer vector
+on its ray and no rounding can ever occur.  It serves the fallback, and
+`rank` counts the rows it keeps on the system or its transpose.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -72,189 +80,151 @@ def integerize(values: Iterable[Fraction | int]) -> list[int]:
     return ints
 
 
-def _strip(row: SparseRow) -> SparseRow:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int], dict[int, SparseRow]]:
+    """The rows kept, as positions in `rows`, and the canonical kernel basis of
+    `rows` over Z (p = 0) or mod the prime p, by ascending free column.
 
-
-def _eliminate(rows: Iterable[SparseRow], p: int = 0) -> tuple[list[SparseRow], list[int]]:
-    """The pivot rows and their pivot columns, in elimination order, of `rows`
-    over Z (p = 0) or mod the prime p.
-
-    The pivot is the sparsest column, then its sparsest row, ties to the lower
-    index; row ids are positions in `rows`.  Over Z a row r hitting the pivot
-    column becomes pv r - f prow, gcd-stripped; mod p the pivot row is made
-    monic and r becomes r - f prow.  Either way only the pivot row's columns
-    of r can appear or vanish, so only those are re-indexed, and only their
-    counts are pushed again on the heap that stands in for a min over all
-    columns.  Its keys are count * width + column, so the smallest is the
-    rule's choice once entries whose count is stale are dropped from the top;
-    a column whose rows are all gone keeps an empty set, which no key matches.
-    The row chosen at step t holds no pivot column of the steps before, so
-    back-substitution in reverse order reads only solved pivots.
+    The basis starts as the identity and takes the rows sparsest first, ties
+    to the lower index.  A row's products with the kernel vectors are summed
+    through the column -> vectors index; when all vanish the row is skipped,
+    else the vector of the highest free column it hits becomes a pivot and is
+    eliminated from the others it hits: mod p v <- v - (w / pv) pvec, over Z
+    v <- pv v - w pvec with a gcd strip.  Every vector stays the identity on
+    the free columns (over Z up to its own scale, v[f]), so the basis is read
+    off with no back-substitution.
     """
-    active: dict[int, SparseRow] = {}
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        rp = {c: w for c, v in r.items() if (w := v % p if p else v)}
-        if rp:
-            active[i] = rp
-            for c in rp:
-                col_rows.setdefault(c, set()).add(i)
-    width = 1 + max(col_rows, default=0)
-    heap = [len(hit) * width + c for c, hit in col_rows.items()]
-    heapify(heap)
-    pivot_rows: list[SparseRow] = []
-    pivot_cols: list[int] = []
-    while active:
-        while True:
-            n, pc = divmod(heap[0], width)
-            hit = col_rows.get(pc)
-            if hit is not None and len(hit) == n:
-                break
-            heappop(heap)
-        cands = col_rows.pop(pc)
-        pi = min(cands, key=lambda i: (len(active[i]), i))
-        cands.discard(pi)
-        prow = active.pop(pi)
-        pv = prow[pc]
-        if p and pv != 1:
+    # cols[c] holds column c of the basis by free column; supp[f] the columns of v_f
+    cols: list[dict[int, int]] = [{c: 1} for c in range(ncols)]
+    supp: dict[int, set[int]] = {c: {c} for c in range(ncols)}
+    kept: list[int] = []
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        prods: dict[int, int] = {}
+        for c, a in rows[i].items():
+            for f, x in cols[c].items():
+                prods[f] = prods.get(f, 0) + a * x
+        prods = {f: w for f, v in prods.items() if (w := v % p if p else v)}
+        if not prods:
+            continue
+        kept.append(i)
+        piv = max(prods)
+        pv = prods.pop(piv)
+        pivot = [(c, cols[c].pop(piv)) for c in supp.pop(piv)]
+        if p:
             inv = pow(pv, -1, p)
-            prow = {c: v * inv % p for c, v in prow.items()}
-        others = [(c, v) for c, v in prow.items() if c != pc]
-        for c, _v in others:
-            col_rows[c].discard(pi)
-        # one update loop per arithmetic, so that no entry tests p
-        for i in cands:
-            r = active[i]
-            f = r.pop(pc)
-            if p:
-                for c, v in others:
-                    old = r.get(c)
-                    if old is None:
-                        r[c] = -f * v % p
-                        col_rows.setdefault(c, set()).add(i)
-                    elif w := (old - f * v) % p:
-                        r[c] = w
-                    else:
-                        del r[c]
-                        col_rows[c].discard(i)
-            else:
-                for c in r:
-                    r[c] *= pv
-                for c, v in others:
-                    old = r.get(c)
-                    if old is None:
-                        r[c] = -f * v
-                        col_rows.setdefault(c, set()).add(i)
-                    elif w := old - f * v:
-                        r[c] = w
-                    else:
-                        del r[c]
-                        col_rows[c].discard(i)
-                r = active[i] = _strip(r)
-            if not r:
-                del active[i]
-        for c, _v in others:
-            if hit := col_rows[c]:
-                heappush(heap, len(hit) * width + c)
-        pivot_rows.append(prow)
-        pivot_cols.append(pc)
-    return pivot_rows, pivot_cols
-
-
-def _kernel_vector(
-    pivot_rows: list[SparseRow], pivot_cols: list[int], free: int, ncols: int, p: int = 0
-) -> list:
-    """The kernel vector that is 1 on column `free` and 0 on the other free
-    columns: residues mod p, or Fractions when p = 0."""
-    vec = [0 if p else _ZERO] * ncols
-    vec[free] = 1 if p else Fraction(1)
-    # vec[pc] is still 0 when its row is reached, so the whole row can be summed
-    for row, pc in zip(reversed(pivot_rows), reversed(pivot_cols)):
-        s = 0
-        for c, v in row.items():
-            s += v * vec[c]
-        if s:
-            vec[pc] = -s % p if p else Fraction(-s, row[pc])
-    return vec
+            facs = [(f, w * inv % p) for f, w in prods.items()]
+        else:
+            facs = list(prods.items())
+            for f, _w in facs:
+                for c in supp[f]:
+                    cols[c][f] *= pv
+        for c, x in pivot:
+            col = cols[c]
+            for f, w in facs:
+                old = col.get(f)
+                if old is None:
+                    col[f] = -w * x % p if p else -w * x
+                    supp[f].add(c)
+                elif new := (old - w * x) % p if p else old - w * x:
+                    col[f] = new
+                else:
+                    del col[f]
+                    supp[f].discard(c)
+        if not p:
+            for f, _w in facs:
+                g = gcd(*(cols[c][f] for c in supp[f]))
+                if g > 1:
+                    for c in supp[f]:
+                        cols[c][f] //= g
+    return kept, {f: {c: cols[c][f] for c in supp[f]} for f in sorted(supp)}
 
 
 class Echelon:
-    """Sparse echelon form over Z with recorded pivot columns."""
+    """The exact kernel of a row system over Z, with its rank and free columns."""
 
     def __init__(self, rows: Iterable[SparseRow], ncols: int):
         self.ncols = ncols
-        self.pivot_rows, self.pivot_cols = _eliminate(rows)
+        self.basis = _kernel(list(rows), ncols)[1]
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_cols)
+        return self.ncols - len(self.basis)
 
     def free_cols(self) -> list[int]:
-        pivots = set(self.pivot_cols)
-        return [c for c in range(self.ncols) if c not in pivots]
+        return list(self.basis)
 
     def nullspace(self) -> list[list[Fraction]]:
         """One exact basis vector per free column, in ascending column order."""
-        return [_kernel_vector(self.pivot_rows, self.pivot_cols, f, self.ncols) for f in self.free_cols()]
+        return [
+            [Fraction(vec[c], vec[f]) if c in vec else _ZERO for c in range(self.ncols)]
+            for f, vec in self.basis.items()
+        ]
 
 
 def rank(rows: Iterable[SparseRow], ncols: int) -> int:
-    return Echelon(rows, ncols).rank
+    """The rank over Q: the number of rows `_kernel` keeps, run on the
+    transpose when that has fewer columns, since the basis starts as wide as
+    the system."""
+    rows = list(rows)
+    if len(rows) < ncols:
+        cols: list[SparseRow] = [{} for _ in range(ncols)]
+        for i, r in enumerate(rows):
+            for c, v in r.items():
+                cols[c][i] = v
+        rows, ncols = cols, len(rows)
+    return len(_kernel(rows, ncols)[0])
 
 
 # ---------------------------------------------------------------------------
 # Certified modular nullspace
 # ---------------------------------------------------------------------------
 
-def _rational(u: int, m: int, bound: int) -> Optional[Fraction]:
-    """The n/d with |n|, d <= bound and n = u d (mod m), or None (Wang 1981)."""
+def _rational(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
+    """The n/d with |n|, d <= bound and n = u d (mod m), as (n, d > 0), or
+    None (Wang 1981)."""
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _reconstruct(residues: list[int], m: int) -> Optional[list[Fraction]]:
-    """Rational candidates for one vector.  The entries share denominators, so
-    each residue is first tried against the lcm of those found so far."""
+def _reconstruct(residues: list[int], m: int) -> Optional[tuple[list[int], int]]:
+    """A rational candidate for one vector, as integers over one common
+    denominator.  The entries share denominators, so each residue is first
+    tried against the lcm of those found so far."""
     half = m >> 1
     bound = isqrt(half)
     den = 1
-    out: list[Fraction] = []
+    out: list[int] = []
     for u in residues:
         if not u:
-            out.append(_ZERO)
+            out.append(0)
             continue
         t = u * den % m
         if t > half:
             t -= m
         if -bound <= t <= bound:
-            out.append(Fraction(t, den))
+            out.append(t)
             continue
         q = _rational(u, m, bound)
         if q is None:
             return None
-        den = lcm(den, q.denominator)
-        out.append(q)
-    return out
+        n, d = q
+        grown = lcm(den, d)
+        if grown != den:
+            out = [x * (grown // den) for x in out]
+            den = grown
+        out.append(n * (den // d))
+    return out, den
 
 
-def _annihilates(cols: list[list[tuple[int, int]]], vec: list[Fraction]) -> bool:
+def _annihilates(cols: list[list[tuple[int, int]]], vec: list[int]) -> bool:
     """A v = 0 exactly, with A given by columns as (row, value) pairs; only
     the columns in the support of v are read."""
     acc: dict[int, int] = {}
-    for c, x in enumerate(integerize(vec)):
+    for c, x in enumerate(vec):
         if x:
             for i, v in cols[c]:
                 acc[i] = acc.get(i, 0) + v * x
@@ -265,33 +235,33 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
     """The certified modular kernel basis, one vector per free column in
     ascending column order, or None when `PRIMES` cannot certify it (an
     unlucky prime, or entries too large for the fixed primes)."""
-    rows = [r for r in rows if r]
+    rows = list(rows)
+    system = rows
     cols: Optional[list[list[tuple[int, int]]]] = None
     free: Optional[list[int]] = None
     residues: dict[int, list[int]] = {}
     done: dict[int, list[Fraction]] = {}
     m = 1
     for p in PRIMES:
-        pivot_rows, pivot_cols = _eliminate(rows, p)
-        pivots = set(pivot_cols)
-        free_p = [c for c in range(ncols) if c not in pivots]
+        kept, basis = _kernel(system, ncols, p)
         if free is None:
-            free = free_p
-        elif free_p != free:
+            free = list(basis)
+            system = [system[i] for i in kept]
+        elif list(basis) != free:
             return None
         inv = pow(m, -1, p)
         for f in free:
             if f in done:
                 continue
-            vec = _kernel_vector(pivot_rows, pivot_cols, f, ncols, p)
+            vec = [0] * ncols
+            for c, v in basis[f].items():
+                vec[c] = v
             acc = residues.setdefault(f, vec)
             if acc is not vec:
                 for c, (a, b) in enumerate(zip(acc, vec)):
                     if a != b:
                         acc[c] = a + m * ((b - a) * inv % p)
         m *= p
-        # built once the elimination is released, so the two never coexist
-        del pivot_rows
         if cols is None:
             cols = [[] for _ in range(ncols)]
             for i, r in enumerate(rows):
@@ -299,8 +269,9 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
                     cols[c].append((i, v))
         for f in list(residues):
             cand = _reconstruct(residues[f], m)
-            if cand is not None and _annihilates(cols, cand):
-                done[f] = cand
+            if cand is not None and _annihilates(cols, cand[0]):
+                ints, den = cand
+                done[f] = [Fraction(x, den) if x else _ZERO for x in ints]
                 del residues[f]
         if not residues:
             return [done[f] for f in free]

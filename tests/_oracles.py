@@ -8,9 +8,11 @@ index subsets (sharing no code with trisupport.compress), the
 incompressibility-set oracle tests every grid triple against every support
 triple, the stabilizer and annihilator oracles rank their full dense systems
 by plain Fraction elimination (sharing no code with trisupport.linalg or
-trisupport.symmetry), the injective-combination oracle combines Fractions
-pairwise where trisupport.linalg hashes integer columns, and the functional
-oracle is a simplex grid sweep.
+trisupport.symmetry), the kernel-basis oracle is dense Fraction
+Gauss-Jordan elimination from the highest column down, the
+injective-combination oracle combines Fractions pairwise where
+trisupport.linalg hashes integer columns, and the functional oracle is a
+simplex grid sweep.
 """
 
 from __future__ import annotations
@@ -288,6 +290,40 @@ def _dense_rank(rows: list[list[Fraction]], ncols: int) -> int:
         rank += 1
     return rank
 
+
+
+def oracle_kernel_basis(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """The free columns and the reduced kernel basis of the sparse integer rows
+    (dicts column -> value): dense Fraction Gauss-Jordan elimination that takes
+    the columns from the highest down, so the free columns are those in the
+    span of the columns after them, and each basis vector is 1 on its own free
+    column, 0 on the others, in ascending free-column order."""
+    dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    pivots: dict[int, list[Fraction]] = {}
+    rank = 0
+    for col in reversed(range(ncols)):
+        pivot = next((r for r in range(rank, len(dense)) if dense[r][col] != 0), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        prow = dense[rank]
+        prow[:] = [v / prow[col] for v in prow]
+        live = [c for c in range(ncols) if prow[c] != 0]
+        for r, row in enumerate(dense):
+            if r != rank and row[col] != 0:
+                factor = row[col]
+                for c in live:
+                    row[c] -= factor * prow[c]
+        pivots[col] = prow
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(c == f) for c in range(ncols)]
+        for col, prow in pivots.items():
+            vec[col] = -prow[f]
+        basis.append(vec)
+    return free, basis
 
 
 def oracle_injective_combination(vectors, blocks, seed: int = 0):

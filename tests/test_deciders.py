@@ -240,9 +240,9 @@ OBLIQUE_GOLDEN = {
     (5, 9): ([("oblique", 8), ("unknown", 1), ("oblique", 8), ("oblique", 8)],
              ((0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (3, 2, 1, 0, 4))),
     (5, 10): ([("oblique", 0), ("oblique", 0), ("oblique", 0), ("oblique", 0)],
-              ((2, 1, 3, 0, 4), (1, 3, 4, 2, 0), (0, 1, 2, 3, 4))),
+              ((2, 3, 0, 4, 1), (3, 2, 1, 0, 4), (4, 3, 2, 0, 1))),
     (5, 11): ([("oblique", 0), ("oblique", 0), ("oblique", 0), ("oblique", 0)],
-              ((2, 0, 4, 3, 1), (2, 1, 0, 3, 4), (1, 3, 0, 2, 4))),
+              ((2, 3, 0, 1, 4), (1, 2, 3, 0, 4), (4, 2, 0, 3, 1))),
     (5, 12): ([("oblique", 18), ("unknown", 1), ("unknown", 17), ("oblique", 18)],
               ((0, 3, 1, 4, 2), (3, 0, 4, 2, 1), (3, 4, 0, 1, 2))),
     (6, 13): ([("oblique", 156), ("unknown", 1), ("unknown", 17), ("oblique", 156)],
@@ -276,6 +276,8 @@ def test_decide_oblique_verdicts_nodes_and_witnesses_are_pinned():
         assert [(r.status, r.nodes) for r in results] == rows, (m, len(s))
         w = results[0].witness
         assert (None if w is None else (w.on_a, w.on_b, w.on_c)) == witness, (m, len(s))
+        if w is not None:
+            assert is_antichain(apply_permutations(s, w)), (m, len(s))
 
 
 def test_decide_oblique_budget_exhaustion_is_unknown():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import _dense_rank, oracle_injective_combination
+from _oracles import _dense_rank, oracle_injective_combination, oracle_kernel_basis
 from trisupport import linalg
 from trisupport.constructions import (
     coppersmith_winograd,
@@ -42,9 +42,9 @@ def _oracle_rank(rows, ncols):
 def _assert_certified(rows, ncols, basis):
     """What `modular_nullspace` claims, checked with Fractions: there are
     ncols - rank vectors (the rank from the dense oracle), they are the
-    identity on the free columns, and each is an exact kernel vector."""
+    identity on the oracle's free columns, and each is an exact kernel vector."""
     assert len(basis) == ncols - _oracle_rank(rows, ncols)
-    free = Echelon(rows, ncols).free_cols()
+    free = oracle_kernel_basis(rows, ncols)[0]
     assert len(free) == len(basis)
     for f, vec in zip(free, basis):
         assert [vec[g] for g in free] == [Fraction(f == g) for g in free]
@@ -73,7 +73,7 @@ def test_random_systems_match_echelon():
         rows = _random_system(rng, rng.randint(0, 14), ncols, rng.choice((1, 9, 1000)))
         basis = modular_nullspace(rows, ncols)
         assert basis is not None
-        assert basis == Echelon(rows, ncols).nullspace()
+        assert basis == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
         assert nullspace(rows, ncols) == basis
         _assert_certified(rows, ncols, basis)
 
@@ -86,7 +86,7 @@ def test_large_kernel_entries_need_several_primes():
         rows = [{c: rng.randint(-(2**30), 2**30) for c in range(ncols)} for _ in range(ncols - 2)]
         basis = modular_nullspace(rows, ncols)
         assert basis is not None
-        assert basis == Echelon(rows, ncols).nullspace()
+        assert basis == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
         _assert_certified(rows, ncols, basis)
         widest = max(widest, _max_bits(basis))
     # one 61-bit prime reconstructs only numerators and denominators below 2^30;
@@ -95,32 +95,53 @@ def test_large_kernel_entries_need_several_primes():
 
 
 def test_prime_dividing_the_pivot_falls_back(monkeypatch):
-    # over Q column 0 is the first pivot; mod PRIMES[0] the entry vanishes,
-    # column 1 becomes the pivot and the free set changes
+    # over Q column 0 lies in the span of column 1 and is free; mod PRIMES[0]
+    # the entry p that decides the pivot vanishes, so column 1 is free instead
     p = PRIMES[0]
-    rows = [{0: 2 * p, 1: 3, 2: 5}, {1: 1, 2: 1}]
+    rows = [{0: 1, 1: p}]
     primes_used = []
-    eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda rows, q=0: primes_used.append(q) or eliminate(rows, q))
-    assert modular_nullspace(rows, 3) is None
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, q=0: primes_used.append(q) or kernel(rows, ncols, q))
+    assert modular_nullspace(rows, 2) is None
     # the second prime's free set differs, so the remaining primes are not tried
     assert primes_used == list(PRIMES[:2])
-    assert nullspace(rows, 3) == Echelon(rows, 3).nullspace() == [[Fraction(-1, p), Fraction(-1), Fraction(1)]]
+    want = oracle_kernel_basis(rows, 2)
+    assert want == ([0], [[Fraction(1), Fraction(-1, p)]])
+    assert nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want[1]
 
 
 def test_prime_dividing_an_entry_but_not_a_pivot():
-    # the free set is unchanged mod PRIMES[0], whose residues stay correct;
-    # the kernel entry -p needs more primes before it reconstructs
+    # p divides the entry of column 0, but the pivot is column 1 over Q and
+    # mod PRIMES[0] alike, so the free set is unchanged and the residues stay
+    # correct; the kernel entry -p needs more primes before it reconstructs
     p = PRIMES[0]
-    rows = [{0: 1, 1: p}]
-    assert modular_nullspace(rows, 2) == Echelon(rows, 2).nullspace() == [[Fraction(-p), Fraction(1)]]
+    rows = [{0: p, 1: 1}]
+    want = oracle_kernel_basis(rows, 2)
+    assert want == ([0], [[Fraction(1), Fraction(-p)]])
+    assert modular_nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want[1]
+
+
+def test_prime_dropping_the_rank_falls_back(monkeypatch):
+    # mod PRIMES[0] the only row vanishes, so no row is kept and every later
+    # prime sees the same two free columns; only the check against all input
+    # rows refuses their vectors, until the primes run out
+    p = PRIMES[0]
+    rows = [{0: p, 1: 2 * p}]
+    seen = []
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, q=0: seen.append((q, len(rows))) or kernel(rows, ncols, q))
+    assert modular_nullspace(rows, 2) is None
+    assert seen == [(PRIMES[0], 1)] + [(q, 0) for q in PRIMES[1:]]
+    assert nullspace(rows, 2) == oracle_kernel_basis(rows, 2)[1] == [[Fraction(1), Fraction(-1, 2)]]
 
 
 def test_entries_beyond_the_fixed_primes_fall_back():
     a, b = 3**200, 2**300 + 1  # coprime, each well over 240 bits
     rows = [{0: a, 1: -b}]
     assert modular_nullspace(rows, 2) is None
-    assert nullspace(rows, 2) == Echelon(rows, 2).nullspace() == [[Fraction(b, a), Fraction(1)]]
+    want = oracle_kernel_basis(rows, 2)[1]
+    assert want == [[Fraction(1), Fraction(a, b)]]
+    assert nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want
 
 
 def test_degenerate_systems():
@@ -149,6 +170,38 @@ def _tensor_corpus():
     ]
     corpus += [generic_tensor_on(random_support(rng, Shape(3, 3, 3), 0.4), rng) for _ in range(5)]
     return corpus
+
+
+def _row_variants(rng, rows):
+    """The rows shuffled, and shuffled again after appending dependent,
+    duplicated and empty rows."""
+    yield rng.sample(rows, len(rows))
+    extra = [{}] * rng.randint(1, 2)
+    if rows:
+        extra += [dict(rng.choice(rows)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+            extra.append({c: v for c in set(a) | set(b) if (v := x * a.get(c, 0) + y * b.get(c, 0))})
+    grown = rows + extra
+    yield rng.sample(grown, len(grown))
+
+
+def test_nullspace_basis_is_canonical():
+    # the basis depends only on the kernel: no row order, no dependent or
+    # repeated rows change it, and it is the oracle's reduced basis on the
+    # highest free columns
+    rng = random.Random(39)
+    systems = []
+    for _ in range(200):
+        ncols = rng.randint(1, 14)
+        systems.append((_random_system(rng, rng.randint(0, 14), ncols, rng.choice((1, 9, 1000))), ncols))
+    systems += [_action_rows(t) for t in _tensor_corpus()]
+    for rows, ncols in systems:
+        basis = nullspace(rows, ncols)
+        for variant in _row_variants(rng, rows):
+            assert nullspace(variant, ncols) == basis
+        assert basis == oracle_kernel_basis(rows, ncols)[1]
 
 
 def test_rank_matches_dense_oracle():
