@@ -236,6 +236,7 @@ def _cmd_zeta(args) -> dict:
             )
         return {
             "value": res.value,
+            "certificate_gap": res.gap,
             "minimized_over_axis_orders": True,
             "note": "coordinate-flag upper bound for the full flag minimum",
         }

@@ -140,21 +140,41 @@ def total_compressibility(s: Support) -> tuple[int, ZeroBox]:
     return sum(box.dims()), box
 
 
-def _grow_zero_box(s: Support, box: ZeroBox, first: int) -> ZeroBox:
-    """Enlarge a zero box to an inclusion-maximal one, axis by axis from
-    `first`.  Each axis gains every index that no triple joins to the other
-    two index sets.  Growing a later axis only shrinks what an earlier one
-    could still gain, so a single pass over the three axes is maximal."""
+def _pair_masks(s: Support) -> list[list[list[int]]]:
+    """tables[d][u][v] is the bitmask of the axis-d values that share a triple
+    with value u on axis d + 1 and value v on axis d + 2 (axes mod 3)."""
     dims = tuple(s.shape)
-    sets = [set(box.i_set), set(box.j_set), set(box.k_set)]
+    tables = [[[0] * dims[(d + 2) % 3] for _ in range(dims[(d + 1) % 3])] for d in range(3)]
+    for t in s.triples:
+        for d in range(3):
+            tables[d][t[(d + 1) % 3]][t[(d + 2) % 3]] |= 1 << t[d]
+    return tables
+
+
+def _grow_zero_box(shape: Shape, tables: list[list[list[int]]], box: ZeroBox, first: int) -> ZeroBox:
+    """Enlarge a zero box to an inclusion-maximal one, axis by axis from
+    `first`, with the support's `_pair_masks` tables.  Each axis gains every
+    index that no triple joins to the other two index sets, that is, every
+    index outside the OR of tables[d][u][v] over their pairs.  Growing a later
+    axis only shrinks what an earlier one could still gain, so a single pass
+    over the three axes is maximal."""
+    dims = tuple(shape)
+    sets = [box.i_set, box.j_set, box.k_set]
+
+    def blocked(d: int) -> int:
+        out = 0
+        for u in sets[(d + 1) % 3]:
+            row = tables[d][u]
+            for v in sets[(d + 2) % 3]:
+                out |= row[v]
+        return out
+
     for d in (first, (first + 1) % 3, (first + 2) % 3):
-        e, f = (d + 1) % 3, (d + 2) % 3
-        blocked = {t[d] for t in s.triples if t[e] in sets[e] and t[f] in sets[f]}
-        sets[d].update(v for v in range(dims[d]) if v not in blocked)
-    grown = ZeroBox(*(tuple(sorted(v)) for v in sets))
-    if not grown.avoids(s):
+        mask = blocked(d)
+        sets[d] = tuple(v for v in range(dims[d]) if not mask >> v & 1)
+    if any(blocked(0) >> v & 1 for v in sets[0]):
         raise AssertionError("internal: grown box intersects the support")
-    return grown
+    return ZeroBox(*sets)
 
 
 def multicompressibility(s: Support) -> int:
@@ -168,6 +188,7 @@ def multicompressibility(s: Support) -> int:
     returns is grown to a maximal zero box once from each starting axis,
     and the grown dims join the witnesses."""
     witnesses: list[tuple[int, int, int]] = []
+    tables = _pair_masks(s)
     best = 0
     while best < sum(s.shape):
         for x, y, z in size_splits(s.shape, best + 1):
@@ -176,7 +197,7 @@ def multicompressibility(s: Support) -> int:
             box = find_zero_box(s, x, y, z)
             if box is None:
                 return best
-            witnesses.extend(_grow_zero_box(s, box, d).dims() for d in range(3))
+            witnesses.extend(_grow_zero_box(s.shape, tables, box, d).dims() for d in range(3))
         best += 1
     return best
 

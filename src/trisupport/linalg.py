@@ -139,7 +139,7 @@ def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int
 
 
 class Echelon:
-    """The exact kernel of a row system over Z, with its rank and free columns."""
+    """The exact kernel of a row system over Z, with its rank."""
 
     def __init__(self, rows: Iterable[SparseRow], ncols: int):
         self.ncols = ncols
@@ -148,9 +148,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return self.ncols - len(self.basis)
-
-    def free_cols(self) -> list[int]:
-        return list(self.basis)
 
     def nullspace(self) -> list[list[Fraction]]:
         """One exact basis vector per free column, in ascending column order."""

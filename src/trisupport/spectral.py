@@ -4,8 +4,12 @@ The value is 2 to the maximum of a weighted sum of marginal Shannon entropies
 over probability distributions on the incompressibility set of the support.
 The maximization is a concave program over a simplex, solved by exponentiated
 gradient ascent with a monotonicity safeguard; a linearization gap certifies
-closeness to the optimum.  Everything combinatorial stays exact; floats enter
-only here.
+closeness to the optimum.  An ascent still unconverged after SWITCH steps,
+typically one whose optimum lies on the boundary of the simplex, tries a
+log-barrier Newton finish whose linear systems live in the space of the a+b+c
+marginals; its point is kept only with a gap below 1e-6 and no loss in the
+objective, and the ascent goes on otherwise.  Everything combinatorial stays
+exact; floats enter only here.
 
 Values are coordinate-flag evaluations: the outer flag minimization is
 restricted to coordinate flags induced by axis reorderings, so minimized
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +35,10 @@ from .core import AxisPermutations, Shape, Support, Triple, apply_permutations
 LOG_FLOOR = 1e-300
 # steps zeta_full takes before it gives up with ZetaUnconverged
 MAX_ITERATIONS = 100_000
+# ascent steps before an unconverged ascent tries the Newton finish
+SWITCH = 50
+# Newton steps the finish takes at most
+NEWTON_STEPS = 200
 # zeta_full stops once a step improves the objective by less than this and the gap is below 1e-6
 TOLERANCE = 1e-9
 # largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
@@ -67,45 +75,49 @@ class SpectralWeights:
 class IncomprSet:
     """Downward-closed set of flag index triples on which the restricted
     tensor stays nonzero.  Index i on an axis means the first i basis vectors
-    are annihilated."""
+    are annihilated.  Any sequence of triples (or an n x 3 array) is accepted
+    and stored sorted, as tuples in `points` and as an array in `coords`."""
 
     shape: Shape
     points: tuple[Triple, ...]
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted(set(self.points)))
-        object.__setattr__(self, "points", pts)
-        members = set(pts)
-        for (i, j, k) in pts:
-            for down in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1)):
-                if min(down) >= 0 and down not in members:
-                    raise ValueError("incompressibility set must be downward closed")
+        given = np.asarray(self.points, dtype=np.int64).reshape(-1, 3)
+        if ((given < 0) | (given >= tuple(self.shape))).any():
+            raise ValueError(f"point outside shape {tuple(self.shape)}")
+        grid = _grid(self.shape, given)
+        # a prefix AND along each axis keeps exactly the cells whose whole lower box is marked
+        closed = grid
+        for axis in range(3):
+            closed = np.logical_and.accumulate(closed, axis=axis)
+        if (closed != grid).any():
+            raise ValueError("incompressibility set must be downward closed")
+        coords = np.argwhere(grid)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "points", tuple(map(tuple, coords.tolist())))
 
     def __len__(self) -> int:
         return len(self.points)
 
 
+def _grid(shape: Shape, coords: np.ndarray) -> np.ndarray:
+    """The boolean grid of the shape that marks the rows of an n x 3 array."""
+    grid = np.zeros(tuple(shape), dtype=bool)
+    grid[tuple(coords.T)] = True
+    return grid
+
+
 def incompr_set(s: Support) -> IncomprSet:
     """All flag triples dominated by some support element.
 
-    One downward sweep: a triple is dominated exactly when it is in the
-    support or one of its three successors (i+1, j, k), (i, j+1, k),
-    (i, j, k+1) is dominated."""
-    a, b, c = s.shape
-    members = s.as_set()
-    pts: set[Triple] = set()
-    for i in range(a - 1, -1, -1):
-        for j in range(b - 1, -1, -1):
-            for k in range(c - 1, -1, -1):
-                t = (i, j, k)
-                if (
-                    t in members
-                    or (i + 1, j, k) in pts
-                    or (i, j + 1, k) in pts
-                    or (i, j, k + 1) in pts
-                ):
-                    pts.add(t)
-    return IncomprSet(s.shape, tuple(pts))
+    A suffix OR along each axis of the support's boolean grid marks every
+    triple with a support element at or above it."""
+    grid = _grid(s.shape, np.array(s.triples, dtype=np.int64).reshape(-1, 3))
+    for axis in range(3):
+        backwards = (slice(None),) * axis + (slice(None, None, -1),)
+        grid = np.logical_or.accumulate(grid[backwards], axis=axis)[backwards]
+    return IncomprSet(s.shape, np.argwhere(grid))
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ class ZetaResult:
     value: float
     log2_value: float
     gap: float
-    iterations: int
+    iterations: int  # exponentiated-gradient steps plus Newton steps
     distribution: SupportDistribution
 
 
@@ -163,19 +175,24 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     """Maximize the weighted marginal entropy over distributions on the
     incompressibility set and return 2**maximum with a certificate gap.
 
+    An ascent still unconverged after SWITCH steps hands its iterate to
+    `_newton_finish`.  The Newton point is kept when its objective is at least
+    the handoff's less 1e-12 and its gap is below 1e-6; otherwise the ascent
+    continues from the handoff exactly as if the finish had not run.
+    `iterations` counts the ascent steps plus the Newton steps.
+
     Raises ZetaUnconverged when MAX_ITERATIONS steps leave the gap at or
     above 1e-6."""
     phi = incompr_set(s)
     if not phi.points:
         raise ValueError("empty support has no incompressibility set")
     theta = weights.as_floats()
-    pts = phi.points
-    n = len(pts)
+    n = len(phi)
     sizes = tuple(s.shape)
-    # The a + b + c marginals are one vector: axis d's value i is row
-    # offset[d] + i, and rows[d * n + x] is point x's row on axis d.
-    offset = (0, sizes[0], sizes[0] + sizes[1])
-    rows = np.array([offset[axis] + t[axis] for axis in range(3) for t in pts])
+    # The a + b + c marginals are one vector, axis 0's values first, then
+    # axis 1's and axis 2's; marg[d, x] is point x's row on axis d.
+    marg = (phi.coords + (0, sizes[0], sizes[0] + sizes[1])).T
+    rows = marg.ravel()
     each_point = np.tile(np.arange(n), 3)
     row_theta = np.repeat(theta, sizes)
 
@@ -185,6 +202,11 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         q = np.bincount(rows, weights=vec[each_point], minlength=len(row_theta))
         logq = np.log2(np.maximum(q, LOG_FLOOR))
         return logq, -float(np.dot(row_theta * q, logq))
+
+    def gap_at(vec: np.ndarray, logq: np.ndarray) -> tuple[np.ndarray, float]:
+        """The gradient (up to a constant) and the Frank-Wolfe gap at vec."""
+        g = -(row_theta * logq)[rows].reshape(3, n).sum(axis=0)
+        return g, float(g.max() - g @ vec)
 
     p = np.full(n, 1.0 / n)
     logq, f = evaluate(p)
@@ -198,8 +220,7 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
 
     for t in range(MAX_ITERATIONS):
         iterations = t + 1
-        g = -(row_theta * logq)[rows].reshape(3, n).sum(axis=0)
-        gap = float(g.max() - g @ p)
+        g, gap = gap_at(p, logq)
         shifted = g - g.max()
         # base schedule, halved until monotone, then doubled while it helps
         step = 1.0 / (1.0 + t / 100.0)
@@ -219,6 +240,15 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         p, logq, f = cand, cand_logq, max(f, f_new)
         if improvement < TOLERANCE and gap < 1e-6:
             break
+        if iterations == SWITCH:
+            finish = _newton_finish(p, marg, row_theta)
+            if finish is not None:
+                point, newton_steps = finish
+                fin_logq, fin_f = evaluate(point)
+                fin_gap = gap_at(point, fin_logq)[1]
+                if fin_f >= f - 1e-12 and fin_gap < 1e-6:
+                    p, f, gap, iterations = point, fin_f, fin_gap, iterations + newton_steps
+                    break
     else:
         if gap >= 1e-6:
             raise ZetaUnconverged(gap, iterations)
@@ -226,7 +256,7 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     cap = sum(th * math.log2(nn) for th, nn in zip(theta, sizes) if th > 0)
     if f > cap + 1e-9:
         raise AssertionError("internal: objective exceeded the entropy cap")
-    dist = SupportDistribution(s.shape, {t: float(v) for t, v in zip(pts, p) if v > 0})
+    dist = SupportDistribution(s.shape, {t: float(v) for t, v in zip(phi.points, p) if v > 0})
     return ZetaResult(
         value=float(2.0**f),
         log2_value=float(f),
@@ -234,6 +264,75 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         iterations=iterations,
         distribution=dist,
     )
+
+
+def _newton_finish(p: np.ndarray, marg: np.ndarray, row_theta: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+    """Primal log-barrier Newton method for the same maximum, started from
+    the ascent's iterate p with its entries floored at 1e-12.
+
+    It maximizes f(p) + mu * sum(ln p) over the simplex, from mu = gap / n,
+    dividing mu by 10 (down to 1e-16) each time the Newton decrement is
+    small, and stops once the Frank-Wolfe gap max g - g.p is below 1e-7 or
+    after NEWTON_STEPS steps.  An Armijo line search keeps 0.99 of the
+    distance to the boundary.  The Hessian of f is -B^T W B, with B the 0/1
+    incidence of points (columns) and marginal rows, and W = theta_r / (q_r
+    ln 2) on the rows with positive weight; so each step solves
+    (D + B^T W B) z = R by Woodbury through a system of one equation per
+    such row, refined once by the matrix-free product, and never forms an
+    n x n matrix.  Returns the point and the number of Newton steps, or None
+    on a singular solve or a non-finite value."""
+    n = len(p)
+    incidence = np.zeros((len(row_theta), n))
+    incidence[marg, np.arange(n)] = 1.0
+    keep = (row_theta > 0) & incidence.any(axis=1)
+    B, theta = incidence[keep], row_theta[keep]
+    p = np.maximum(p, 1e-12)
+    p /= p.sum()
+    mu = 0.0
+
+    def barrier(x: np.ndarray) -> float:
+        q = B @ x
+        return float(-(theta * q) @ np.log2(q) + mu * np.log(x).sum())
+
+    for step in range(NEWTON_STEPS):
+        q = B @ p
+        g = -(theta * np.log2(q)) @ B
+        gap = float(g.max() - g @ p)
+        if not math.isfinite(gap):
+            return None
+        if gap < 1e-7:
+            return p, step
+        mu = mu or gap / n
+        # M = D + B^T W B, the negated Hessian of the barrier objective
+        d = mu / p**2
+        w = theta / (q * math.log(2.0))
+        rhs = np.stack([g + mu / p, np.ones(n)], axis=1)
+        schur = np.diag(1.0 / w) + (B / d) @ B.T
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            return (r - B.T @ np.linalg.solve(schur, B @ (r / d[:, None]))) / d[:, None]
+
+        try:
+            z = solve(rhs)
+            z += solve(rhs - (d[:, None] * z + B.T @ (w[:, None] * (B @ z))))
+        except np.linalg.LinAlgError:
+            return None
+        # the step keeps sum(p) = 1: delta = M^-1 (grad - lam 1) with sum(delta) = 0
+        delta = z[:, 0] - z[:, 0].sum() / z[:, 1].sum() * z[:, 1]
+        decrement = float(rhs[:, 0] @ delta)
+        if not (math.isfinite(decrement) and np.isfinite(delta).all()):
+            return None
+        shrinking = delta < 0
+        t = min(1.0, 0.99 * float(np.min(-p[shrinking] / delta[shrinking]))) if shrinking.any() else 1.0
+        base = barrier(p)
+        while barrier(p + t * delta) < base + 1e-4 * t * decrement and t > 1e-12:
+            t /= 2.0
+        p = p + t * delta
+        p /= p.sum()
+        # centred enough once the decrement is below the barrier's own gap n mu
+        if decrement < n * mu:
+            mu = max(mu / 10.0, 1e-16)
+    return p, NEWTON_STEPS
 
 
 def zeta(s: Support, weights: SpectralWeights) -> float:
@@ -245,6 +344,7 @@ class OrderMinResult:
     status: str  # "ok" or "unknown"
     value: Optional[float]
     permutations: Optional[AxisPermutations]
+    gap: Optional[float]  # the chosen class's ascent gap
 
 
 def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinResult:
@@ -261,7 +361,7 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
     instead of an unfinishable search."""
     a, b, c = s.shape
     if max(a, b, c) > ORDER_MAX_DIM:
-        return OrderMinResult("unknown", None, None)
+        return OrderMinResult("unknown", None, None, None)
     cells = list(itertools.product(range(a), range(b), range(c)))
     # below[i][j][k]: mask of the box under cell (i, j, k), from its predecessors' boxes
     below = [[[0] * c for _ in range(b)] for _ in range(a)]
@@ -285,7 +385,7 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
     label = tuple(zip((a, b, c), (weights.theta_a, weights.theta_b, weights.theta_c)))
     swaps = [g for g in itertools.permutations(range(3)) if tuple(label[d] for d in g) == label]
     classes: set[tuple[Triple, ...]] = set()
-    best: Optional[float] = None
+    best: Optional[ZetaResult] = None
     best_perms: Optional[AxisPermutations] = None
     for closure, perms in first.items():
         if closure not in minimal:
@@ -294,7 +394,7 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
         key = min(tuple(sorted((t[g[0]], t[g[1]], t[g[2]]) for t in points)) for g in swaps)
         if key not in classes:
             classes.add(key)
-            val = zeta(apply_permutations(s, perms), weights)
-            if best is None or val < best - 1e-15:
-                best, best_perms = val, perms
-    return OrderMinResult("ok", best, best_perms)
+            res = zeta_full(apply_permutations(s, perms), weights)
+            if best is None or res.value < best.value - 1e-15:
+                best, best_perms = res, perms
+    return OrderMinResult("ok", best.value, best_perms, best.gap)

@@ -11,13 +11,15 @@ by plain Fraction elimination (sharing no code with trisupport.linalg or
 trisupport.symmetry), the kernel-basis oracle is dense Fraction
 Gauss-Jordan elimination from the highest column down, the
 injective-combination oracle combines Fractions pairwise where
-trisupport.linalg hashes integer columns, and the functional oracle is a
-simplex grid sweep.
+trisupport.linalg hashes integer columns, the functional oracle is a
+simplex grid sweep, and the functional's certificate is recomputed from its
+distribution in plain Python over the oracle's own dominated set.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -458,6 +460,35 @@ def oracle_zeta_grid(
         refined = batch_objective(cands.astype(np.float64) / fine)
         best_f = max(best_f, float(refined.max()))
     return float(2.0**best_f)
+
+
+def oracle_zeta_certificate(
+    s: Support, theta: tuple[float, float, float], probs: dict[Triple, float]
+) -> tuple[float, float]:
+    """The weighted marginal entropy (base 2) of the distribution probs and
+    its Frank-Wolfe gap max g - g.p over every grid triple some support
+    triple dominates, where g at a triple is minus the weighted sum of the
+    base-2 logs of its three marginals.  Plain Python floats throughout."""
+    dominated = oracle_incompr_set(s)
+    if not set(probs) <= set(dominated):
+        raise ValueError("distribution leaves the dominated set")
+    marginals: list[dict[int, float]] = [{}, {}, {}]
+    for t, p in probs.items():
+        for axis in range(3):
+            marginals[axis][t[axis]] = marginals[axis].get(t[axis], 0.0) + p
+    value = -sum(
+        th * q * math.log2(q) for th, marg in zip(theta, marginals) if th > 0 for q in marg.values() if q > 0
+    )
+
+    def g(t: Triple) -> float:
+        out = 0.0
+        for axis in range(3):
+            if theta[axis] > 0:
+                q = marginals[axis].get(t[axis], 0.0)
+                out += (-theta[axis] * math.log2(q)) if q > 0 else math.inf
+        return out
+
+    return value, max(map(g, dominated)) - sum(p * g(t) for t, p in probs.items())
 
 
 def downward_closed_sets(max_size: int) -> list[tuple[Triple, ...]]:

@@ -162,6 +162,11 @@ def test_zeta_cli(tmp_path, capsys):
     code, report = run(capsys, "zeta", "--in", str(support_file), "--theta", "1/3", "1/3", "1/3")
     assert code == EXIT_OK
     assert abs(report["result"]["value"] - 3) < 1e-6
+    # every zeta report carries its certificate gap, the order minimum's too
+    code, minimized = run(capsys, "zeta", "--in", str(support_file), "--theta", "1/3", "1/3", "1/3", "--min-orders")
+    assert code == EXIT_OK and minimized["result"]["minimized_over_axis_orders"]
+    for res in (report["result"], minimized["result"]):
+        assert res["certificate_gap"] < 1e-6
     code = main(["zeta", "--in", str(support_file), "--theta", "1/2", "1/2", "1/2"])
     capsys.readouterr()
     assert code == EXIT_INVALID  # weights must sum to 1

@@ -155,7 +155,7 @@ def test_grown_zero_boxes_are_maximal():
             continue
         found += 1
         for first in range(3):
-            grown = compress._grow_zero_box(s, box, first)
+            grown = compress._grow_zero_box(s.shape, compress._pair_masks(s), box, first)
             sets = [grown.i_set, grown.j_set, grown.k_set]
             assert all(set(old) <= set(new) for old, new in zip((box.i_set, box.j_set, box.k_set), sets))
             for axis, n in enumerate(shp):

@@ -4,12 +4,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from _oracles import downward_closed_sets, oracle_incompr_set, oracle_zeta_grid
+from _oracles import downward_closed_sets, oracle_incompr_set, oracle_zeta_certificate, oracle_zeta_grid
 from trisupport import spectral
 from trisupport.cli import EXIT_UNKNOWN, main
-from trisupport.constructions import coppersmith_winograd, free_max_support, m_one_sum, tight_max_support
+from trisupport.constructions import (
+    coppersmith_winograd,
+    free_max_support,
+    m_one_sum,
+    oblique_not_tight_4,
+    tight_max_support,
+)
 from trisupport.core import AxisPermutations, Shape, Support, apply_permutations, support_to_obj
 from trisupport.sampling import random_support
 from trisupport.spectral import (
@@ -27,6 +34,7 @@ from trisupport.spectral import (
 UNIFORM = SpectralWeights.uniform()
 SKEWED = SpectralWeights(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 POINTED = SpectralWeights(Fraction(1), Fraction(0), Fraction(0))
+HALVES = SpectralWeights(Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
 
 def test_spectral_weights_validation():
@@ -264,3 +272,67 @@ def test_zeta_full_raises_at_the_iteration_cap(monkeypatch, tmp_path, capsys):
         code = main(["zeta", "--in", str(path), "--theta", "1/3", "1/3", "1/3", *extra])
         report = json.loads(capsys.readouterr().out)
         assert code == EXIT_UNKNOWN and report["result"]["status"] == "unknown"
+
+
+def _without_finish(monkeypatch, call, *args):
+    """The same call with the Newton finish failing, so the ascent alone answers."""
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_newton_finish", lambda *_: None)
+        return call(*args)
+
+
+def test_newton_finish_sweep_agrees_with_the_ascent_alone(monkeypatch):
+    rng = random.Random(50)
+    drawn = [random_support(rng, Shape(m, m, m), rng.uniform(0.2, 0.5)) for m in [3] * 6 + [4] * 3]
+    finished = 0
+    for s in (s for s in drawn if s.triples):
+        for weights in (UNIFORM, SKEWED, POINTED, HALVES):
+            res = zeta_full(s, weights)
+            plain = _without_finish(monkeypatch, zeta_full, s, weights)
+            assert res.gap < 1e-6 and plain.gap < 1e-6
+            assert abs(res.log2_value - plain.log2_value) <= res.gap + plain.gap, (s.triples, weights)
+            value, gap = oracle_zeta_certificate(s, weights.as_floats(), res.distribution.probs)
+            assert abs(value - res.log2_value) <= 1e-9
+            if res != plain:
+                # the Newton point's gap is its own, so the oracle reproduces it
+                finished += 1
+                assert res.iterations > spectral.SWITCH and abs(gap - res.gap) <= 1e-9, (s.triples, weights)
+            low = zeta_min_over_axis_orders(s, weights)
+            low_plain = _without_finish(monkeypatch, zeta_min_over_axis_orders, s, weights)
+            assert low.gap < 1e-6 and low_plain.gap < 1e-6
+            assert abs(math.log2(low.value) - math.log2(low_plain.value)) <= low.gap + low_plain.gap + 1e-12
+    assert finished >= 3
+
+
+@pytest.mark.parametrize("weights", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
+def test_newton_finish_cuts_the_slow_order_minimum(monkeypatch, weights):
+    # the exponentiated-gradient ascent alone takes 43,207 (uniform) and
+    # 46,555 (skewed) steps over these 30 class ascents
+    results = []
+    real = spectral.zeta_full
+    monkeypatch.setattr(spectral, "zeta_full", lambda *args: results.append(real(*args)) or results[-1])
+    res = zeta_min_over_axis_orders(oblique_not_tight_4().support(), weights)
+    assert res.status == "ok" and res.gap < 1e-6
+    assert len(results) == 30 and sum(r.iterations for r in results) < 5000
+
+
+@pytest.mark.parametrize(
+    "s, weights",
+    [(oblique_not_tight_4().support(), UNIFORM), (tight_max_support(3)[0], SKEWED), (m_one_sum(3).support(), UNIFORM)],
+    ids=["not-tight-4", "t-max(3)", "m1-sum(3)"],
+)
+def test_newton_finish_falls_back_to_the_ascent_bit_for_bit(monkeypatch, s, weights):
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "SWITCH", spectral.MAX_ITERATIONS + 1)
+        ascent_only = zeta_full(s, weights)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "solve", singular)
+        assert zeta_full(s, weights) == ascent_only
+    if ascent_only.iterations <= spectral.SWITCH:
+        assert zeta_full(s, weights) == ascent_only
+    else:
+        assert zeta_full(s, weights).iterations < ascent_only.iterations
