@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import __version__
 from .arrangement import build_arrangement, joint_free_subarrangement, joints, render_svg
-from .compress import find_zero_box, multicompressibility, slice_cover, size_splits, total_compressibility
+from .compress import _box_finder, find_zero_box, multicompressibility, slice_cover, size_splits, total_compressibility
 from .constructions import (
     CATALOG_IDS,
     construct,
@@ -341,7 +341,8 @@ def _compressibility_criterion(seed: int) -> dict:
         hi, lo = (s.shape.a + 1) // 2, s.shape.a // 2
         ss = apply_permutations(s, w.sorting_permutations())
         splits = {(hi, hi, lo), (hi, lo, hi), (lo, hi, hi)}
-        _require(any(find_zero_box(ss, *p) is not None for p in splits), f"sorted {s.triples} misses no half box")
+        find = _box_finder(ss)
+        _require(any(find(*p) is not None for p in splits), f"sorted {s.triples} misses no half box")
     bounds = [(tight_max_support(m)[0], 3 * (m // 2) + 1) for m in range(3, 7)]
     bounds += [(coppersmith_winograd(q).support(), 2 * q + 1) for q in (1, 2)]
     bounds += [(coppersmith_winograd(q, big=True).support(), 2 * q + 3) for q in (1, 2)]
@@ -354,8 +355,9 @@ def _compressibility_criterion(seed: int) -> dict:
         kappa, box = total_compressibility(s)
         _require(slice_cover(s).size + kappa == shp.a + shp.b + shp.c, f"cover duality fails on {s.triples} in {shp}")
         # the other engine confirms the box, and by monotonicity that no larger one exists
-        larger = [sp for sp in size_splits(shp, kappa + 1) if find_zero_box(s, *sp) is not None]
-        _require(find_zero_box(s, *box.dims()) is not None and not larger, f"kappa {kappa} of {s.triples} is not maximal")
+        find = _box_finder(s)
+        larger = [sp for sp in size_splits(shp, kappa + 1) if find(*sp) is not None]
+        _require(find(*box.dims()) is not None and not larger, f"kappa {kappa} of {s.triples} is not maximal")
     return {}
 
 

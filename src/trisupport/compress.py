@@ -4,6 +4,10 @@ Only coordinate index subsets are searched.  Every in-scope compressibility
 claim is witnessed by coordinate subspaces, so the searches verify all of
 them; results are exact for the coordinate notion and lower bounds for the
 subspace notion, and outputs are labeled accordingly.
+
+Multicompressibility asks one search context per support (`_box_finder`) for
+its size splits, skips those with a zero part, and settles dominated ones by
+one lookup in a reach table.
 """
 
 from __future__ import annotations
@@ -79,41 +83,53 @@ def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
     close the box.  Within an axis, indices are tried in ascending occupancy
     so sparse slices are used first.
     """
+    return _box_finder(s)(a1, b1, c1)
+
+
+def _box_finder(s: Support) -> Callable[[int, int, int], Optional[ZeroBox]]:
+    """`find_zero_box` for many size splits of one support: the occupancy orders
+    are built once, the mask table of an axis orientation (d0, d1) on first use."""
     dims = tuple(s.shape)
-    targets = (a1, b1, c1)
-    for want, have in zip(targets, dims):
-        if not 0 <= want <= have:
-            raise ValueError(f"box sizes must lie between 0 and the shape {dims}, got {targets}")
+    cols = tuple(zip(*s.triples)) or ((), (), ())
+    # indices by ascending occupancy; the sort is stable, so ties keep the smaller index first
+    order = [sorted(range(n), key=col.count) for col, n in zip(cols, dims)]
+    tables: dict[tuple[int, int], list[list[int]]] = {}
 
-    axes = sorted(range(3), key=lambda d: (targets[d], d))
-    d0, d1, d2 = axes
-    w0, w1, w2 = targets[d0], targets[d1], targets[d2]
-    occupancy = [[0] * n for n in dims]
-    masks = [[0] * dims[d1] for _ in range(dims[d0])]
-    for t in s.triples:
-        for d in range(3):
-            occupancy[d][t[d]] += 1
-        masks[t[d0]][t[d1]] |= 1 << t[d2]
-    order = [sorted(range(n), key=lambda v: (occupancy[d][v], v)) for d, n in enumerate(dims)]
+    def find(a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
+        targets = (a1, b1, c1)
+        for want, have in zip(targets, dims):
+            if not 0 <= want <= have:
+                raise ValueError(f"box sizes must lie between 0 and the shape {dims}, got {targets}")
 
-    def second_axis(picked0: tuple[int, ...], blocked: tuple[int, ...]):
-        def extend(used: int, v1: int) -> Optional[int]:
-            used |= blocked[v1]
-            return used if used.bit_count() <= dims[d2] - w2 else None
+        axes = sorted(range(3), key=lambda d: (targets[d], d))
+        d0, d1, d2 = axes
+        w0, w1, w2 = targets[d0], targets[d1], targets[d2]
+        masks = tables.get((d0, d1))
+        if masks is None:
+            masks = tables[d0, d1] = [[0] * dims[d1] for _ in range(dims[d0])]
+            for v0, v1, v2 in zip(cols[d0], cols[d1], cols[d2]):
+                masks[v0][v1] |= 1 << v2
 
-        def finish(picked1: tuple[int, ...], used: int) -> ZeroBox:
-            free = tuple(sorted([v for v in order[d2] if not used >> v & 1][:w2]))
-            sets = dict(zip(axes, (picked0, picked1, free)))
-            return ZeroBox(sets[0], sets[1], sets[2])
+        def second_axis(picked0: tuple[int, ...], blocked: tuple[int, ...]):
+            def extend(used: int, v1: int) -> Optional[int]:
+                used |= blocked[v1]
+                return used if used.bit_count() <= dims[d2] - w2 else None
 
-        cand1 = [v for v in order[d1] if extend(0, v) is not None]
-        return _first_subset(cand1, w1, 0, extend, finish)
+            def finish(picked1: tuple[int, ...], used: int) -> ZeroBox:
+                free = tuple(sorted([v for v in order[d2] if not used >> v & 1][:w2]))
+                sets = dict(zip(axes, (picked0, picked1, free)))
+                return ZeroBox(sets[0], sets[1], sets[2])
 
-    block = lambda blocked, v0: tuple(map(or_, blocked, masks[v0]))  # noqa: E731
-    box = _first_subset(order[d0], w0, (0,) * dims[d1], block, second_axis)
-    if box is not None and not box.avoids(s):
-        raise AssertionError("internal: returned box intersects the support")
-    return box
+            cand1 = [v for v in order[d1] if extend(0, v) is not None]
+            return _first_subset(cand1, w1, 0, extend, finish)
+
+        block = lambda blocked, v0: tuple(map(or_, blocked, masks[v0]))  # noqa: E731
+        box = _first_subset(order[d0], w0, (0,) * dims[d1], block, second_axis)
+        if box is not None and not box.avoids(s):
+            raise AssertionError("internal: returned box intersects the support")
+        return box
+
+    return find
 
 
 def size_splits(shape: Shape, total: int) -> Iterator[tuple[int, int, int]]:
@@ -180,24 +196,33 @@ def _grow_zero_box(shape: Shape, tables: list[list[list[int]]], box: ZeroBox, fi
 def multicompressibility(s: Support) -> int:
     """Largest r such that every in-range size split (a', b', c') with
     a'+b'+c' = r admits a zero box.  Splits are monotone, so r is scanned
-    upward until some split fails.
+    upward until some split fails.  One `_box_finder` answers every split.
 
-    A sub-box of a zero box is a zero box, so a box of dims (x, y, z)
-    witnesses every split componentwise <= (x, y, z), and skipping such
-    splits without a search keeps the answer exact.  Every box a search
-    returns is grown to a maximal zero box once from each starting axis,
-    and the grown dims join the witnesses."""
-    witnesses: list[tuple[int, int, int]] = []
+    A box I x J x {} misses any support, so splits with a zero part need no
+    search.  A sub-box of a zero box is a zero box, so a box of dims (u, v, w)
+    witnesses every split componentwise <= (u, v, w): reach[x][y] is the
+    largest w of a witness with u >= x and v >= y (-1 if none), and a split
+    (x, y, z) with z <= reach[x][y] is skipped.  Every box a search returns
+    is grown to a maximal zero box once from each starting axis, and the
+    grown dims enter the reach table."""
+    a, b, _ = s.shape
+    reach = [[-1] * (b + 1) for _ in range(a + 1)]
+    find = _box_finder(s)
     tables = _pair_masks(s)
     best = 0
     while best < sum(s.shape):
         for x, y, z in size_splits(s.shape, best + 1):
-            if any(x <= u and y <= v and z <= w for u, v, w in witnesses):
+            if not (x and y and z) or z <= reach[x][y]:
                 continue
-            box = find_zero_box(s, x, y, z)
+            box = find(x, y, z)
             if box is None:
                 return best
-            witnesses.extend(_grow_zero_box(s.shape, tables, box, d).dims() for d in range(3))
+            for d in range(3):
+                u, v, w = _grow_zero_box(s.shape, tables, box, d).dims()
+                # reach only falls as x and y grow, so a covered corner covers the rectangle
+                if w > reach[u][v]:
+                    for row in reach[: u + 1]:
+                        row[: v + 1] = [max(r, w) for r in row[: v + 1]]
         best += 1
     return best
 

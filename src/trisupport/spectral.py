@@ -173,7 +173,10 @@ class ZetaUnconverged(RuntimeError):
 
 def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     """Maximize the weighted marginal entropy over distributions on the
-    incompressibility set and return 2**maximum with a certificate gap.
+    incompressibility set and return 2**maximum with a certificate gap, the
+    Frank-Wolfe gap of the returned distribution itself.  The ascent stops
+    once a step improves the objective by less than TOLERANCE with the gap
+    below 1e-6 before it and after it.
 
     An ascent still unconverged after SWITCH steps hands its iterate to
     `_newton_finish`.  The Newton point is kept when its objective is at least
@@ -193,7 +196,7 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     # axis 1's and axis 2's; marg[d, x] is point x's row on axis d.
     marg = (phi.coords + (0, sizes[0], sizes[0] + sizes[1])).T
     rows = marg.ravel()
-    each_point = np.tile(np.arange(n), 3)
+    each_point = np.arange(3 * n) % n
     row_theta = np.repeat(theta, sizes)
 
     def evaluate(vec: np.ndarray) -> tuple[np.ndarray, float]:
@@ -210,8 +213,8 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
 
     p = np.full(n, 1.0 / n)
     logq, f = evaluate(p)
+    g, gap = gap_at(p, logq)
     iterations = 0
-    gap = math.inf
 
     def try_step(shifted: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         cand = p * np.exp(eta * shifted)
@@ -220,7 +223,6 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
 
     for t in range(MAX_ITERATIONS):
         iterations = t + 1
-        g, gap = gap_at(p, logq)
         shifted = g - g.max()
         # base schedule, halved until monotone, then doubled while it helps
         step = 1.0 / (1.0 + t / 100.0)
@@ -238,7 +240,10 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
             raise AssertionError("internal: ascent step decreased the objective")
         improvement = f_new - f
         p, logq, f = cand, cand_logq, max(f, f_new)
-        if improvement < TOLERANCE and gap < 1e-6:
+        settled = improvement < TOLERANCE and gap < 1e-6
+        # the gap reported, and the one that stops the ascent, is the returned point's own
+        g, gap = gap_at(p, logq)
+        if settled and gap < 1e-6:
             break
         if iterations == SWITCH:
             finish = _newton_finish(p, marg, row_theta)
@@ -256,7 +261,7 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     cap = sum(th * math.log2(nn) for th, nn in zip(theta, sizes) if th > 0)
     if f > cap + 1e-9:
         raise AssertionError("internal: objective exceeded the entropy cap")
-    dist = SupportDistribution(s.shape, {t: float(v) for t, v in zip(phi.points, p) if v > 0})
+    dist = SupportDistribution(s.shape, {t: v for t, v in zip(phi.points, p.tolist()) if v > 0})
     return ZetaResult(
         value=float(2.0**f),
         log2_value=float(f),

@@ -260,13 +260,14 @@ def test_zeta_min_invariant_under_relabelling_and_axis_swap(s, weights):
 
 
 def test_zeta_full_raises_at_the_iteration_cap(monkeypatch, tmp_path, capsys):
-    s, _ = tight_max_support(3)
+    # one step leaves t-max(4)'s gap near 0.07 (t-max(3)'s already below 1e-14)
+    s, _ = tight_max_support(4)
     assert zeta_full(s, UNIFORM).iterations > 1
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
     with pytest.raises(ZetaUnconverged) as caught:
         zeta_full(s, UNIFORM)
     assert caught.value.iterations == 1 and caught.value.gap >= 1e-6
-    path = tmp_path / "tmax3.json"
+    path = tmp_path / "tmax4.json"
     path.write_text(json.dumps(support_to_obj(s)))
     for extra in ([], ["--min-orders"]):
         code = main(["zeta", "--in", str(path), "--theta", "1/3", "1/3", "1/3", *extra])
@@ -302,6 +303,25 @@ def test_newton_finish_sweep_agrees_with_the_ascent_alone(monkeypatch):
             assert low.gap < 1e-6 and low_plain.gap < 1e-6
             assert abs(math.log2(low.value) - math.log2(low_plain.value)) <= low.gap + low_plain.gap + 1e-12
     assert finished >= 3
+
+
+def test_fast_ascents_report_the_gap_of_the_returned_distribution():
+    # the ascent stops on the gap of the point it returns, not on that of the
+    # iterate before its last step
+    rng = random.Random(7)
+    fast = 0
+    for m in (2, 3, 4):
+        for _ in range(50):
+            s = random_support(rng, Shape(m, m, m), rng.uniform(0.2, 0.6))
+            if not s.triples:
+                continue
+            res = zeta_full(s, UNIFORM)
+            if res.iterations > spectral.SWITCH:
+                continue
+            fast += 1
+            gap = oracle_zeta_certificate(s, UNIFORM.as_floats(), res.distribution.probs)[1]
+            assert abs(gap - res.gap) <= 1e-9 and gap < 1e-6, (s.triples, res.gap, gap)
+    assert fast >= 100
 
 
 @pytest.mark.parametrize("weights", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
