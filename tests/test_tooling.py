@@ -1,7 +1,8 @@
 """The benchmark's tracer rebinds library functions by name with no default,
 so a name it lists that the library no longer has breaks `--trace 1`; a
 library change that breaks one of the benchmark's answer checks fails its
-self-test; and the README's CLI block shows every leaf command."""
+self-test; the README's CLI block shows every leaf command; and `certify`
+imports nothing that it checks."""
 
 import argparse
 import ast
@@ -57,3 +58,17 @@ def test_readme_cli_block_shows_every_leaf_command():
     assert ("decide", "free") in leaves and ("symmetry", "span-stabilizer") in leaves
     for leaf in leaves:
         assert any(tuple(words[: len(leaf)]) == leaf for words in shown), " ".join(leaf)
+
+
+def test_certify_imports_only_core_and_the_standard_library():
+    # the checker shares no code with the solvers whose answers it checks
+    tree = ast.parse((ROOT / "src" / "trisupport" / "certify.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [("." * node.level) + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            assert name == ".core" or name.split(".")[0] in sys.stdlib_module_names, name
