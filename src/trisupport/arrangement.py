@@ -10,6 +10,7 @@ renderer emits byte-identical output for equal inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,6 +46,17 @@ class Arrangement:
             if not _strictly_increasing(vals):
                 raise ValueError(f"{name}-direction offsets must be strictly increasing")
 
+    @cached_property
+    def _joints(self) -> tuple[Joint, ...]:
+        z_index = {z: k for k, z in enumerate(self.zs)}
+        out = []
+        for i, x in enumerate(self.xs):
+            for j, y in enumerate(self.ys):
+                k = z_index.get(-(x + y))
+                if k is not None:
+                    out.append(Joint(point=(x, y), triple=(i, j, k)))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Joint:
@@ -61,15 +73,9 @@ def build_arrangement(w: TightWitness) -> Arrangement:
 
 
 def joints(arr: Arrangement) -> tuple[Joint, ...]:
-    """All zero-sum offset triples; each corresponds to a triple intersection."""
-    z_index = {z: k for k, z in enumerate(arr.zs)}
-    out = []
-    for i, x in enumerate(arr.xs):
-        for j, y in enumerate(arr.ys):
-            k = z_index.get(-(x + y))
-            if k is not None:
-                out.append(Joint(point=(x, y), triple=(i, j, k)))
-    return tuple(out)
+    """All zero-sum offset triples; each corresponds to a triple intersection.
+    Computed once per arrangement and cached on it."""
+    return arr._joints
 
 
 def joint_support(arr: Arrangement) -> Support:

@@ -167,28 +167,30 @@ def _pair_masks(s: Support) -> list[list[list[int]]]:
     return tables
 
 
+def _blocked(tables: list[list[list[int]]], sets: list[tuple[int, ...]], d: int) -> int:
+    """The axis-d values that some triple joins to the index sets of the
+    other two axes: the OR of tables[d][u][v] over their pairs."""
+    out = 0
+    for u in sets[(d + 1) % 3]:
+        row = tables[d][u]
+        for v in sets[(d + 2) % 3]:
+            out |= row[v]
+    return out
+
+
 def _grow_zero_box(shape: Shape, tables: list[list[list[int]]], box: ZeroBox, first: int) -> ZeroBox:
     """Enlarge a zero box to an inclusion-maximal one, axis by axis from
     `first`, with the support's `_pair_masks` tables.  Each axis gains every
-    index that no triple joins to the other two index sets, that is, every
-    index outside the OR of tables[d][u][v] over their pairs.  Growing a later
-    axis only shrinks what an earlier one could still gain, so a single pass
-    over the three axes is maximal."""
+    index outside its `_blocked` mask.  Growing a later axis only shrinks
+    what an earlier one could still gain, so a single pass over the three
+    axes is maximal."""
     dims = tuple(shape)
     sets = [box.i_set, box.j_set, box.k_set]
-
-    def blocked(d: int) -> int:
-        out = 0
-        for u in sets[(d + 1) % 3]:
-            row = tables[d][u]
-            for v in sets[(d + 2) % 3]:
-                out |= row[v]
-        return out
-
     for d in (first, (first + 1) % 3, (first + 2) % 3):
-        mask = blocked(d)
+        mask = _blocked(tables, sets, d)
         sets[d] = tuple(v for v in range(dims[d]) if not mask >> v & 1)
-    if any(blocked(0) >> v & 1 for v in sets[0]):
+    mask = _blocked(tables, sets, 0)
+    if any(mask >> v & 1 for v in sets[0]):
         raise AssertionError("internal: grown box intersects the support")
     return ZeroBox(*sets)
 
@@ -203,22 +205,26 @@ def multicompressibility(s: Support) -> int:
     witnesses every split componentwise <= (u, v, w): reach[x][y] is the
     largest w of a witness with u >= x and v >= y (-1 if none), and a split
     (x, y, z) with z <= reach[x][y] is skipped.  Every box a search returns
-    is grown to a maximal zero box once from each starting axis, and the
-    grown dims enter the reach table."""
-    a, b, _ = s.shape
+    is grown to a maximal zero box once from each starting axis along which
+    it is not maximal already, and the grown dims enter the reach table."""
+    dims = tuple(s.shape)
+    a, b, _ = dims
     reach = [[-1] * (b + 1) for _ in range(a + 1)]
     find = _box_finder(s)
     tables = _pair_masks(s)
     best = 0
-    while best < sum(s.shape):
+    while best < sum(dims):
         for x, y, z in size_splits(s.shape, best + 1):
             if not (x and y and z) or z <= reach[x][y]:
                 continue
             box = find(x, y, z)
             if box is None:
                 return best
-            for d in range(3):
-                u, v, w = _grow_zero_box(s.shape, tables, box, d).dims()
+            sets = [box.i_set, box.j_set, box.k_set]
+            # growing from an axis along which the box is maximal equals growing from the next one
+            starts = [d for d in range(3) if len(sets[d]) + _blocked(tables, sets, d).bit_count() < dims[d]]
+            for grown in [_grow_zero_box(s.shape, tables, box, d) for d in starts] or [box]:
+                u, v, w = grown.dims()
                 # reach only falls as x and y grow, so a covered corner covers the rectangle
                 if w > reach[u][v]:
                     for row in reach[: u + 1]:

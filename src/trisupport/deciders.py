@@ -20,6 +20,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import le
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from . import linalg
@@ -29,7 +31,6 @@ from .core import (
     Support,
     Triple,
     apply_permutations,
-    is_concise_support,
 )
 
 
@@ -370,31 +371,7 @@ def max_oblique_size(a: int, b: int, c: int) -> tuple[int, Support]:
     return bound, achieving
 
 
-def cube_symmetry_images(s: Support) -> list[tuple[Triple, ...]]:
-    """The 12 images of a cube support under factor permutations composed
-    with the coordinatewise flip x -> m-1-x."""
-    m = s.shape.a
-    if tuple(s.shape) != (m, m, m):
-        raise ValueError("cube symmetries require a cubical shape")
-    images = []
-    for perm in itertools.permutations(range(3)):
-        for flip in (False, True):
-            img = []
-            for t in s.triples:
-                u = (t[perm[0]], t[perm[1]], t[perm[2]])
-                if flip:
-                    u = (m - 1 - u[0], m - 1 - u[1], m - 1 - u[2])
-                img.append(u)
-            images.append(tuple(sorted(img)))
-    return images
-
-
-def cube_canonical_form(s: Support) -> tuple[Triple, ...]:
-    """Lexicographically smallest sorted triple list over the 12-element group."""
-    return min(cube_symmetry_images(s))
-
-
-def _maximal_independent_sets(n: int, adj: list[int]) -> list[int]:
+def _maximal_independent_sets(n: int, adj: Sequence[int]) -> list[int]:
     """All maximal independent sets of a graph on n vertices (bitmask adjacency),
     via Bron-Kerbosch with pivoting on the complement."""
     full = (1 << n) - 1
@@ -436,53 +413,75 @@ class CensusReport:
     orbit_sizes: tuple[int, ...]
 
 
-def census_m3(seed: int = 0) -> CensusReport:
-    """Classify the maximal antichains of the 3x3x3 grid.
+def census(m: int, seed: int = 0) -> CensusReport:
+    """Classify the maximal antichains of the m x m x m grid.
 
     Enumerates maximal antichains as maximal independent sets of the
-    comparability graph on 27 vertices, keeps the concise ones, groups them
-    into orbits of the order-12 symmetry group, and runs the tight decider on
-    every orbit representative.
+    comparability graph on the m^3 vertices, keeps the concise ones (those
+    meeting every axis slice), groups them into orbits of the order-12
+    symmetry group by the largest of their 12 image keys, and runs the tight
+    decider on every orbit representative.  Maximal antichains never contain
+    one another, so the largest key is the image with the lexicographically
+    smallest sorted triple list; the representatives are those images, in
+    increasing order.
     """
-    m = 3
-    verts = [(i, j, k) for i in range(m) for j in range(m) for k in range(m)]
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    verts, comparable, slices, tables = _cube_tables(m)
     n = len(verts)
-    adj = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            p, q = verts[x], verts[y]
-            if all(p[d] <= q[d] for d in range(3)) or all(q[d] <= p[d] for d in range(3)):
-                adj[x] |= 1 << y
-
-    masks = _maximal_independent_sets(n, adj)
+    masks = _maximal_independent_sets(n, comparable)
+    concise = [mk for mk in masks if all(map(mk.__and__, slices))]
+    full, fields = (1 << n) - 1, range(0, 12 * n, n)
+    orbits: Counter[int] = Counter()
+    for mk in concise:
+        # distinct vertices have distinct images, so the sum of the byte entries is their OR
+        images = sum(row[mk >> (8 * p) & 255] for p, row in enumerate(tables))
+        orbits[max([images >> f & full for f in fields])] += 1
+    keys = sorted(orbits, reverse=True)
     shape = Shape(m, m, m)
-
-    def mask_to_support(mask: int) -> Support:
-        triples = []
-        while mask:
-            bit = mask & -mask
-            triples.append(verts[bit.bit_length() - 1])
-            mask &= mask - 1
-        return Support(shape, tuple(triples))
-
-    antichains = [mask_to_support(mk) for mk in masks]
-    concise = [s for s in antichains if is_concise_support(s)]
-
-    orbits: dict[tuple[Triple, ...], int] = {}
-    for s in concise:
-        canon = cube_canonical_form(s)
-        orbits[canon] = orbits.get(canon, 0) + 1
-
-    reps = tuple(Support(shape, canon) for canon in sorted(orbits))
-    sizes = tuple(orbits[tuple(r.triples)] for r in reps)
-    witnesses = tuple(decide_tight(r, seed=seed) for r in reps)
+    reps = tuple(Support(shape, tuple(verts[n - 1 - b] for b in range(n) if key >> b & 1)) for key in keys)
     return CensusReport(
-        maximal_count=len(antichains),
+        maximal_count=len(masks),
         concise_count=len(concise),
         orbit_count=len(reps),
         representatives=reps,
-        witnesses=witnesses,
-        orbit_sizes=sizes,
+        witnesses=tuple(decide_tight(r, seed=seed) for r in reps),
+        orbit_sizes=tuple(orbits[key] for key in keys),
     )
+
+
+def census_m3(seed: int = 0) -> CensusReport:
+    """The paper's 3x3x3 census, `census(3, seed)`."""
+    return census(3, seed)
+
+
+@cache
+def _cube_tables(m: int) -> tuple[tuple[Triple, ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The m-cube's vertices, vertex (i, j, k) at bit (i*m + j)*m + k, with the
+    comparability mask of each vertex, the 3m axis-slice masks, and one table
+    per mask byte sending it to the keys of its 12 images side by side, in
+    fields of m^3 bits.  The images are under the axis permutations, with or
+    without the flip x -> m-1-x, and a key holds vertex v at bit m^3 - 1 - v.
+    Built on the first call for m and kept, as tuples, since every caller shares them."""
+    verts = tuple(itertools.product(range(m), repeat=3))
+    n = len(verts)
+    index = {t: v for v, t in enumerate(verts)}
+    comparable = tuple(
+        sum(1 << v for v, q in enumerate(verts) if p != q and (all(map(le, p, q)) or all(map(le, q, p))))
+        for p in verts
+    )
+    slices = tuple(sum(1 << v for v, t in enumerate(verts) if t[d] == x) for d in range(3) for x in range(m))
+    symmetries = [(perm, flip) for perm in itertools.permutations(range(3)) for flip in (False, True)]
+    # vertex v's image under symmetry g, in field g
+    bits = [
+        sum(1 << (g * n + n - 1 - index[tuple(m - 1 - t[d] if flip else t[d] for d in perm)])
+            for g, (perm, flip) in enumerate(symmetries))
+        for t in verts
+    ] + [0] * (-n % 8)
+    tables = []
+    for lo in range(0, n, 8):
+        row = [0] * 256
+        for byte in range(1, 256):
+            row[byte] = row[byte & (byte - 1)] | bits[lo + (byte & -byte).bit_length() - 1]
+        tables.append(tuple(row))
+    return verts, comparable, slices, tuple(tables)

@@ -12,8 +12,11 @@ trisupport.symmetry), the kernel-basis oracle is dense Fraction
 Gauss-Jordan elimination from the highest column down, the
 injective-combination oracle combines Fractions pairwise where
 trisupport.linalg hashes integer columns, the functional oracle is a
-simplex grid sweep, and the functional's certificate is recomputed from its
-distribution in plain Python over the oracle's own dominated set.
+simplex grid sweep, the functional's certificate is recomputed from its
+distribution in plain Python over the oracle's own dominated set, and the
+cube census oracle reads maximal antichains off plane partitions and groups
+them by sorted triple tuples, where trisupport.deciders runs Bron-Kerbosch
+on bitmasks.
 """
 
 from __future__ import annotations
@@ -516,3 +519,47 @@ def downward_closed_sets(max_size: int) -> list[tuple[Triple, ...]]:
                                 nxt.append(grown)
         frontier = nxt
     return [tuple(sorted(fs)) for fs in sorted(found, key=lambda fs: (len(fs), tuple(sorted(fs))))]
+
+
+def oracle_cube_images(s: Support) -> list[tuple[Triple, ...]]:
+    """The 12 images of a cube support, as sorted triple tuples, under the
+    axis permutations with or without the coordinatewise flip x -> m-1-x."""
+    m = s.shape.a
+    return [
+        tuple(sorted(tuple(m - 1 - t[d] if flip else t[d] for d in perm) for t in s.triples))
+        for perm in itertools.permutations(range(3))
+        for flip in (False, True)
+    ]
+
+
+def oracle_cube_canonical_form(s: Support) -> tuple[Triple, ...]:
+    """The lexicographically smallest of the 12 images."""
+    return min(oracle_cube_images(s))
+
+
+def oracle_cube_maximal_antichains(m: int) -> list[tuple[Triple, ...]]:
+    """The maximal antichains of the m-cube, from its down-sets.  A down-set
+    is a plane partition: heights h(i, j) <= m that never increase along a
+    row or a column, holding (i, j, k) for k < h(i, j).  Its antichain is its
+    set of points none of whose three successors lies in it, and the
+    antichain is maximal when every point of the cube is comparable to one of
+    its points."""
+    cells = list(itertools.product(range(m), repeat=2))
+    cube = list(itertools.product(range(m), repeat=3))
+    out = []
+
+    def fill(h: dict, n: int) -> None:
+        if n < len(cells):
+            i, j = cells[n]
+            top = min(h.get((i - 1, j), m), h.get((i, j - 1), m))
+            for v in range(top + 1):
+                fill({**h, (i, j): v}, n + 1)
+            return
+        down = {(i, j, k) for (i, j), v in h.items() for k in range(v)}
+        tops = [p for p in down if all(p[:d] + (p[d] + 1,) + p[d + 1:] not in down for d in range(3))]
+        leq = lambda p, q: all(x <= y for x, y in zip(p, q))  # noqa: E731
+        if all(any(leq(p, q) or leq(q, p) for q in tops) for p in cube):
+            out.append(tuple(sorted(tops)))
+
+    fill({}, 0)
+    return sorted(out)

@@ -45,6 +45,16 @@ def test_joints_of_symmetric_witness():
     assert joint_support(arr).triples == s13.triples
 
 
+def test_joints_are_computed_once_per_arrangement():
+    arr = build_arrangement(W3)
+    assert joints(arr) is joints(arr)
+    # the cached joints take no part in equality or hashing
+    fresh = build_arrangement(W3)
+    assert arr == fresh and hash(arr) == hash(fresh) and len({arr, fresh}) == 1
+    assert repr(arr) == repr(fresh)
+    assert joint_support(fresh).triples == tuple(sorted(j.triple for j in joints(arr)))
+
+
 def test_tight_support_maps_injectively_into_joints():
     rng = random.Random(51)
     hits = 0

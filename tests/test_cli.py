@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 from trisupport.cli import CRITERIA, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
 from trisupport.core import support_from_json, tensor_from_json
@@ -185,9 +186,15 @@ def test_arrange_cli(tmp_path, capsys):
         capsys, "arrange", "--witness", str(witness_file), "--svg", str(svg), "--dims", "2", "2", "1"
     )
     assert code == EXIT_OK
-    assert len(report["result"]["joints"]) == 7
-    assert report["result"]["joint_free_subarrangement"] is not None
-    assert svg.read_text().count("<line") == 9
+    joints = [((-1, 0), (0, 1, 2)), ((-1, 1), (0, 2, 1)), ((0, -1), (1, 0, 2)), ((0, 0), (1, 1, 1)),
+              ((0, 1), (1, 2, 0)), ((1, -1), (2, 0, 1)), ((1, 0), (2, 1, 0))]
+    assert report["result"] == {
+        "lines": {"x": [-1, 0, 1], "y": [-1, 0, 1], "z": [-1, 0, 1]},
+        "joints": [{"point": list(p), "triple": list(t)} for p, t in joints],
+        "joint_free_subarrangement": {"x": [-1, 1], "y": [-1, 1], "z": [-1]},
+        "svg": str(svg),
+    }
+    assert svg.read_bytes() == (Path(__file__).parent / "golden" / "arrangement_tmax3.svg").read_bytes()
 
 
 def test_arrange_refuses_malformed_witness(tmp_path, capsys):

@@ -168,6 +168,25 @@ def test_grown_zero_boxes_are_maximal():
     assert found >= 40
 
 
+def test_growing_from_a_maximal_axis_equals_growing_from_the_next():
+    # multicompressibility skips a starting axis along which its box is maximal already
+    skipped = 0
+    for s in _seeded_supports(36, 40, 4):
+        tables = compress._pair_masks(s)
+        find = compress._box_finder(s)
+        for dims in itertools.product(*(range(1, n + 1) for n in s.shape)):
+            box = find(*dims)
+            if box is None:
+                continue
+            sets = [box.i_set, box.j_set, box.k_set]
+            grown = [compress._grow_zero_box(s.shape, tables, box, d) for d in range(3)]
+            for d, n in enumerate(s.shape):
+                if len(sets[d]) + compress._blocked(tables, sets, d).bit_count() == n:
+                    skipped += 1
+                    assert grown[d] == grown[(d + 1) % 3], (s, box, d)
+    assert skipped >= 100
+
+
 def _counted_searches(monkeypatch) -> list[tuple[int, int, int]]:
     """Record the split of every search a `_box_finder` runs from now on."""
     calls: list[tuple[int, int, int]] = []

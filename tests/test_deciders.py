@@ -5,15 +5,23 @@ from collections import Counter
 
 import pytest
 
-from _oracles import oracle_free, oracle_max_antichain, oracle_oblique, oracle_tight
+from _oracles import (
+    oracle_cube_canonical_form,
+    oracle_cube_images,
+    oracle_cube_maximal_antichains,
+    oracle_free,
+    oracle_max_antichain,
+    oracle_oblique,
+    oracle_tight,
+)
 from _reference import M3_ORBIT_REPRESENTATIVES
 from trisupport import deciders, linalg
 from trisupport.constructions import matmul, oblique_not_tight_4, tight_max_support, free_max_support
 from trisupport.core import Shape, Support, apply_permutations, is_concise_support
 from trisupport.deciders import (
     TightWitness,
+    census,
     census_m3,
-    cube_canonical_form,
     decide_oblique,
     decide_tight,
     is_antichain,
@@ -343,19 +351,18 @@ class TestCensus:
             assert w.certifies(rep)
 
     def test_canonical_form_is_group_invariant(self, report):
-        from trisupport.deciders import cube_symmetry_images
-
         for rep in report.representatives:
-            canon = cube_canonical_form(rep)
-            for img in cube_symmetry_images(rep):
-                assert cube_canonical_form(Support(rep.shape, img)) == canon
+            canon = oracle_cube_canonical_form(rep)
+            assert rep.triples == canon
+            for img in oracle_cube_images(rep):
+                assert oracle_cube_canonical_form(Support(rep.shape, img)) == canon
 
     def test_reference_representatives_match_bijectively(self, report):
         shape = Shape(3, 3, 3)
         computed = {tuple(r.triples) for r in report.representatives}
         seen = set()
         for triples, _taus, _ok in M3_ORBIT_REPRESENTATIVES:
-            canon = cube_canonical_form(Support(shape, triples))
+            canon = oracle_cube_canonical_form(Support(shape, triples))
             assert canon in computed
             seen.add(canon)
         assert len(seen) == 13
@@ -369,3 +376,34 @@ class TestCensus:
             w = TightWitness(*taus)
             assert w.certifies(s) == printed_ok
             assert decide_tight(s) is not None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_census_matches_the_oracle_grouping(m):
+    # representatives in order, with their orbit sizes, from down-set enumeration and tuple canonical forms
+    shape = Shape(m, m, m)
+    maximal = oracle_cube_maximal_antichains(m)
+    concise = [a for a in maximal if all(len({t[d] for t in a}) == m for d in range(3))]
+    orbits = Counter(oracle_cube_canonical_form(Support(shape, a)) for a in concise)
+    rep = census(m)
+    assert (rep.maximal_count, rep.concise_count, rep.orbit_count) == (len(maximal), len(concise), len(orbits))
+    assert [r.triples for r in rep.representatives] == sorted(orbits)
+    assert list(rep.orbit_sizes) == [orbits[c] for c in sorted(orbits)]
+
+
+def test_census_m3_is_census_3():
+    assert census_m3(seed=1) == census(3, seed=1)
+    with pytest.raises(ValueError):
+        census(0)
+
+
+def test_census_m4_counts():
+    rep = census(4)
+    assert (rep.maximal_count, rep.concise_count, rep.orbit_count) == (10_631, 6_278, 591)
+    assert sum(w is None for w in rep.witnesses) == 87
+    assert all(w.certifies(r) for r, w in zip(rep.representatives, rep.witnesses) if w is not None)
+    # each representative is its orbit's smallest image, and its orbit is its set of images
+    for r, size in zip(rep.representatives, rep.orbit_sizes):
+        images = oracle_cube_images(r)
+        assert r.triples == min(images) and size == len(set(images))
+    assert sum(rep.orbit_sizes) == 6_278

@@ -1,12 +1,13 @@
 """The benchmark's tracer rebinds library functions by name with no default,
 so a name it lists that the library no longer has breaks `--trace 1`; a
 library change that breaks one of the benchmark's answer checks fails its
-self-test; the README's CLI block shows every leaf command; and `certify`
-imports nothing that it checks."""
+self-test; importing the package builds no census table; the README's CLI
+block shows every leaf command; and `certify` imports nothing that it checks."""
 
 import argparse
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,14 @@ def test_benchmark_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+
+
+def test_import_builds_no_census_table():
+    # the census tables are built on the first call for each m, outside every workload's set-up
+    probe = "import trisupport; print(trisupport.deciders._cube_tables.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.split() == ["0"], done.stderr
 
 
 def _leaf_commands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
