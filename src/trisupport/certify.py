@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .core import Tensor, Triple
+from .core import Support, Tensor, Triple
 
 
 class CertificateError(ValueError):
@@ -73,3 +73,31 @@ def check_annihilator(t: Tensor, report) -> None:
     for n, flat in enumerate(flats):
         if any(flat[c] for c in leads if c != leads[n]):
             raise CertificateError(f"element {n} breaks the reduced echelon form: nonzero in another's leading column")
+
+
+def check_oblique(s: Support, result) -> None:
+    """Check a `deciders.ObliqueResult` of `s`: an "oblique" verdict carries
+    three permutations, of the sizes of the shape, under which no two
+    triples of the support are comparable coordinatewise; any other verdict
+    carries no witness.  "not_oblique" has no certificate to check.
+
+    Sorted lexicographically, each reordered triple is at most every later
+    one on the first axis, so a pair is comparable exactly when the earlier
+    one is also at most the later one on the other two.
+    """
+    w = result.witness
+    if result.status != "oblique":
+        if w is not None:
+            raise CertificateError(f"a {result.status} verdict carries a witness")
+        return
+    if w is None:
+        raise CertificateError("an oblique verdict carries no witness")
+    perms = (w.on_a, w.on_b, w.on_c)
+    for axis, (p, n) in enumerate(zip(perms, s.shape)):
+        if sorted(p) != list(range(n)):
+            raise CertificateError(f"the witness's map on axis {axis} is not a permutation of 0..{n - 1}")
+    moved = sorted(tuple(p[x] for p, x in zip(perms, t)) for t in s.triples)
+    for n, p in enumerate(moved):
+        for q in moved[n + 1 :]:
+            if p[1] <= q[1] and p[2] <= q[2]:
+                raise CertificateError(f"reordered triples {p} and {q} are comparable")

@@ -251,11 +251,12 @@ def obj_to_tensor(obj: object) -> Tensor:
         raise ValueError("entries must be a list of objects")
     shape = Shape(*_parse_ints(obj.get("shape"), "shape", 3))
     entries: dict[Triple, Fraction] = {}
+    one = Fraction(1)  # shared by the entries of a pure support
     for e in items:
         idx = _parse_ints(e.get("idx"), "idx", 3)
         if idx in entries:
             raise ValueError(f"duplicate idx {list(idx)}")
-        entries[idx] = _parse_fraction(e.get("coef", "1/1"))
+        entries[idx] = _parse_fraction(e["coef"]) if "coef" in e else one
     return Tensor(shape, entries)
 
 

@@ -14,7 +14,6 @@ pair projections of the support are injective.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import le
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 from . import linalg
 from .core import (
@@ -219,120 +218,125 @@ def decide_oblique(s: Support, budget: int = DEFAULT_BUDGET, seed: int = 0) -> O
             raise AssertionError("internal: weighting sort did not yield an antichain")
         return ObliqueResult("oblique", perms, 0)
 
-    nodes = 0
-    for spent, perms in _oblique_search(s):
-        nodes += spent
-        if nodes > budget:
-            return ObliqueResult("unknown", None, budget)
-        if perms is not None:
-            if not is_antichain(apply_permutations(s, perms)):
-                raise AssertionError("internal: oblique search returned a non-antichain")
-            return ObliqueResult("oblique", perms, nodes)
-    return ObliqueResult("not_oblique", None, nodes)
+    status, perms, nodes = _oblique_search(s, budget)
+    if perms is not None and not is_antichain(apply_permutations(s, perms)):
+        raise AssertionError("internal: oblique search returned a non-antichain")
+    return ObliqueResult(status, perms, nodes)
 
 
-def _oblique_search(s: Support) -> Iterator[tuple[int, Optional[AxisPermutations]]]:
-    """Yield (nodes spent, the reordering found at a third-axis solve or
-    None) as the search goes: one node at a time, except that a refuted
-    first-axis prefix spends all its orders' nodes in one yield."""
+def _oblique_search(
+    s: Support, budget: int
+) -> tuple[Literal["oblique", "not_oblique", "unknown"], Optional[AxisPermutations], int]:
+    """The search of `decide_oblique` on integer state, as (status, witness,
+    nodes); "unknown", with the budget, at the node that first exceeds it.
+
+    A forced second-axis edge u -> v is the id u*b + v in the multiset
+    `count`; placed and predecessor sets are bitmasks; second-axis prefixes
+    are walked on an explicit stack; each pair differing on the third axis
+    is packed once as (i, i', j, j', k, k'), and a third-axis solve scans
+    them into predecessor masks and takes the smallest ready value at each
+    step.  Two nodes that no verdict separates are counted together.
+    """
     a, b, c = s.shape
-    pairs = list(itertools.combinations(s.triples, 2))
-    rest = [(p, q) for p, q in pairs if p[2] != q[2]]
-    for orders, rank_a, edges_b in _first_axis_orders(a, [(p, q) for p, q in pairs if p[2] == q[2]]):
-        yield orders, None
-        if edges_b is None:
+    forced: list[list[tuple[int, int, int]]] = [[] for _ in range(a)]
+    rest = []
+    for (i, j, k), (i2, j2, k2) in itertools.combinations(s.triples, 2):
+        if k == k2:
+            # (the other end's bit, the edge if this end comes first, its opposite)
+            forced[i].append((1 << i2, j2 * b + j, j * b + j2))
+            forced[i2].append((1 << i, j * b + j2, j2 * b + j))
+        else:
+            rest.append((i, i2, j, j2, k, k2))
+    count = [0] * (b * b)
+    order_a: list[int] = []
+    added: list[list[tuple[int, int]]] = []
+    placed = nodes = v = 0
+    while True:
+        if v == a:
+            if not order_a:
+                return "not_oblique", None, nodes
+            v = order_a.pop()
+            placed ^= 1 << v
+            for e, _ in added.pop():
+                count[e] -= 1
+            v += 1
             continue
-        for order_b in _extension_prefixes(b, edges_b):
-            yield 1, None
-            if len(order_b) < b:
+        if placed >> v & 1:
+            v += 1
+            continue
+        new = [(e, r) for bit, e, r in forced[v] if not placed & bit]
+        for e, _ in new:
+            count[e] += 1
+        if any(count[r] for _, r in new):
+            nodes += math.factorial(a - len(order_a) - 1)
+            if nodes > budget:
+                return "unknown", None, budget
+            for e, _ in new:
+                count[e] -= 1
+            v += 1
+            continue
+        order_a.append(v)
+        placed |= 1 << v
+        added.append(new)
+        v = 0
+        if len(order_a) < a:
+            continue
+        v = a
+        # the complete first-axis order and the empty second-axis prefix
+        nodes += 2
+        if nodes > budget:
+            return "unknown", None, budget
+        rank_a = _ranks(order_a)
+        preds_b = [0] * b
+        for edges in added:
+            for e, _ in edges:
+                preds_b[e % b] |= 1 << (e // b)
+        order_b: list[int] = []
+        placed_b = u = 0
+        while True:
+            if u == b:
+                if not order_b:
+                    break
+                u = order_b.pop()
+                placed_b ^= 1 << u
+                u += 1
                 continue
+            if placed_b >> u & 1 or preds_b[u] & ~placed_b:
+                u += 1
+                continue
+            order_b.append(u)
+            placed_b |= 1 << u
+            u = 0
+            if len(order_b) < b:
+                nodes += 1
+                if nodes > budget:
+                    return "unknown", None, budget
+                continue
+            u = b
+            # the complete second-axis order and its third-axis solve
+            nodes += 2
+            if nodes > budget:
+                return "unknown", None, budget
             rank_b = _ranks(order_b)
-            order_c = _smallest_topological_order(c, _third_axis_edges(rest, rank_a, rank_b))
-            yield 1, (None if order_c is None else AxisPermutations(rank_a, rank_b, _ranks(order_c)))
-
-
-def _first_axis_orders(
-    a: int, same_c: list[tuple[Triple, Triple]]
-) -> Iterator[tuple[int, list[int], Optional[set[tuple[int, int]]]]]:
-    """Every first-axis order in lexicographic order, as (1, its ranks, the
-    second-axis edges it forces), grown depth first.  A pair agreeing on the
-    third axis forces its edge once either end is placed: the earlier end's
-    second-axis value comes last.  A prefix whose multiset of forced edges
-    holds two opposite ones refutes every completion, and is yielded as
-    (its number of completions, [], None)."""
-    forced: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(a)]
-    for p, q in same_c:
-        forced[p[0]].append((q[0], (q[1], p[1])))
-        forced[q[0]].append((p[0], (p[1], q[1])))
-    edges: Counter[tuple[int, int]] = Counter()
-    order: list[int] = []
-
-    def grow() -> Iterator[tuple[int, list[int], Optional[set[tuple[int, int]]]]]:
-        if len(order) == a:
-            yield 1, _ranks(order), {e for e, n in edges.items() if n}
-        for v in range(a):
-            if v not in order:
-                new = [e for w, e in forced[v] if w not in order]
-                edges.update(new)
-                if any(edges[e[::-1]] for e in new):
-                    yield math.factorial(a - len(order) - 1), [], None
+            preds_c = [0] * c
+            for i, i2, j, j2, k, k2 in rest:
+                pa, qa, pb, qb = rank_a[i], rank_a[i2], rank_b[j], rank_b[j2]
+                if pa >= qa and pb >= qb:
+                    preds_c[k2] |= 1 << k
+                elif pa <= qa and pb <= qb:
+                    preds_c[k] |= 1 << k2
+            rank_c = [0] * c
+            done = 0
+            for pos in range(c):
+                for w in range(c):
+                    if not done >> w & 1 and not preds_c[w] & ~done:
+                        break
                 else:
-                    order.append(v)
-                    yield from grow()
-                    order.pop()
-                edges.subtract(new)
-
-    return grow()
-
-
-def _third_axis_edges(
-    pairs: list[tuple[Triple, Triple]], rank_a: list[int], rank_b: list[int]
-) -> Iterator[tuple[int, int]]:
-    """The third-axis edge each pair forces: a pair whose first two axes
-    point the same way, an agreeing axis counting as either way, must point
-    the other way on the third.  Freeness keeps a pair from agreeing on both."""
-    for p, q in pairs:
-        pa, qa, pb, qb = rank_a[p[0]], rank_a[q[0]], rank_b[p[1]], rank_b[q[1]]
-        if pa >= qa and pb >= qb:
-            yield p[2], q[2]
-        elif pa <= qa and pb <= qb:
-            yield q[2], p[2]
-
-
-def _extension_prefixes(n: int, edges: set[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    """Every prefix of every linear extension of `edges` on range(n), depth
-    first and in lexicographic order: a value can be placed exactly when all
-    its predecessors are."""
-    preds = [{u for u, v in edges if v == w} for w in range(n)]
-
-    def grow(prefix: tuple[int, ...], placed: set[int]) -> Iterator[tuple[int, ...]]:
-        yield prefix
-        for v in range(n):
-            if v not in placed and preds[v] <= placed:
-                yield from grow(prefix + (v,), placed | {v})
-
-    return grow((), set())
-
-
-def _smallest_topological_order(n: int, edges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
-    """Kahn's algorithm with a heap; None when the edges close a cycle, two
-    opposite edges included.  A repeated edge is counted once per copy at
-    both ends, so it changes nothing."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    return order if len(order) == n else None
+                    break
+                done |= 1 << w
+                rank_c[w] = pos
+            if done == (1 << c) - 1:
+                return "oblique", AxisPermutations(rank_a, rank_b, rank_c), nodes
 
 
 def _ranks(order: Sequence[int]) -> list[int]:

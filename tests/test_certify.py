@@ -1,13 +1,18 @@
-"""`certify.check_annihilator` accepts the library's reports and rejects each
-kind of corrupted one; the conftest hook runs it on every annihilator."""
+"""`certify.check_annihilator` and `certify.check_oblique` accept the
+library's reports and reject each kind of corrupted one; the conftest hooks
+run them on every annihilator and every oblique verdict."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
-from trisupport.certify import CertificateError, check_annihilator
-from trisupport.constructions import m_one_sum, matmul, t_std, tight_max_support
+from trisupport import deciders
+from trisupport.certify import CertificateError, check_annihilator, check_oblique
+from trisupport.constructions import free_max_support, m_one_sum, matmul, t_std, tight_max_support
+from trisupport.core import AxisPermutations, Shape, Support, apply_permutations
+from trisupport.deciders import ObliqueResult, decide_oblique, is_antichain
 from trisupport.sampling import generic_tensor_on
 from trisupport.symmetry import LieElement, annihilator, check_propagation
 
@@ -105,3 +110,63 @@ def test_conftest_hook_certifies_every_annihilator(certified_annihilators):
     before = len(certified_annihilators)
     check_propagation(t_std(2), m_one_sum(2))
     assert len(certified_annihilators) - before == 4
+
+
+# the seeded (5, 12) draw of tests/test_deciders.py's OBLIQUE_GOLDEN and its
+# pinned witness, found by the search (18 nodes)
+DRAW_5_12 = Support(Shape(5, 5, 5), (
+    (0, 4, 1), (1, 0, 2), (1, 1, 1), (1, 3, 3), (1, 4, 4), (2, 0, 4),
+    (2, 2, 2), (2, 3, 0), (3, 1, 3), (3, 3, 2), (4, 0, 3), (4, 3, 4),
+))
+WITNESS_5_12 = ((0, 3, 1, 4, 2), (3, 0, 4, 2, 1), (3, 4, 0, 1, 2))
+
+
+def _oblique_rejected(s, result) -> bool:
+    try:
+        check_oblique(s, result)
+    except CertificateError:
+        return True
+    return False
+
+
+def test_check_oblique_accepts_the_library_verdicts():
+    res = decide_oblique(DRAW_5_12)
+    assert res == ObliqueResult("oblique", AxisPermutations(*WITNESS_5_12), 18)
+    check_oblique(DRAW_5_12, res)
+    for s in (tight_max_support(5)[0], free_max_support(5)):
+        check_oblique(s, decide_oblique(s))
+    check_oblique(DRAW_5_12, decide_oblique(DRAW_5_12, budget=17))
+
+
+def test_check_oblique_rejects_a_witness_with_two_entries_swapped():
+    w = [list(p) for p in WITNESS_5_12]
+    w[0][0], w[0][1] = w[0][1], w[0][0]
+    assert _oblique_rejected(DRAW_5_12, ObliqueResult("oblique", AxisPermutations(*w), 18))
+    # every swap within one permutation is rejected exactly when it breaks the antichain
+    rejected = 0
+    for axis in range(3):
+        for x, y in itertools.combinations(range(5), 2):
+            w = [list(p) for p in WITNESS_5_12]
+            w[axis][x], w[axis][y] = w[axis][y], w[axis][x]
+            perms = AxisPermutations(*w)
+            bad = _oblique_rejected(DRAW_5_12, ObliqueResult("oblique", perms, 18))
+            assert bad == (not is_antichain(apply_permutations(DRAW_5_12, perms))), (axis, x, y)
+            rejected += bad
+    assert rejected == 29
+
+
+def test_check_oblique_rejects_a_witness_that_does_not_fit_the_verdict():
+    w = AxisPermutations(*WITNESS_5_12)
+    assert _oblique_rejected(DRAW_5_12, ObliqueResult("oblique", None, 18))
+    assert _oblique_rejected(DRAW_5_12, ObliqueResult("not_oblique", w, 18))
+    assert _oblique_rejected(DRAW_5_12, ObliqueResult("unknown", w, 17))
+    short = AxisPermutations((0, 3, 1, 2), *WITNESS_5_12[1:])
+    assert _oblique_rejected(DRAW_5_12, ObliqueResult("oblique", short, 18))
+
+
+def test_conftest_hook_certifies_every_oblique_result(certified_oblique_results):
+    # a rename of `decide_oblique` that the hook no longer rebinds fails here
+    before = len(certified_oblique_results)
+    decide_oblique(DRAW_5_12)
+    deciders.decide_oblique(DRAW_5_12, budget=1)
+    assert len(certified_oblique_results) - before == 2

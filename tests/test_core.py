@@ -168,6 +168,14 @@ def test_json_boundary_drops_zero_coefficients_like_tensor():
     assert tensor_from_json(json.dumps(doc)).support().triples == ((1, 1, 1),)
 
 
+def test_json_boundary_coefficient_defaults_to_one_only_when_absent():
+    doc = {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0]}, {"idx": [1, 1, 1], "coef": "2"}]}
+    assert tensor_from_json(json.dumps(doc)).entries == {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(2)}
+    doc["entries"][0]["coef"] = None
+    with pytest.raises(ValueError, match=r"^coefficient must be a string p or p/q, got None$"):
+        tensor_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -304,11 +305,37 @@ def test_decide_oblique_budget_exhaustion_is_unknown():
     nodes = OBLIQUE_GOLDEN[(7, 20)][0][0][1]
     assert decide_oblique(s7, budget=nodes - 1) == deciders.ObliqueResult("unknown", None, nodes - 1)
     assert decide_oblique(s7, budget=nodes) == deciders.ObliqueResult("not_oblique", None, nodes)
+    # every budget below a search's node count N answers unknown with that
+    # budget, and N and N + 1 give the default answer, witness included, so
+    # that no batch of node counts can carry the search past its budget
+    draws = {(m, len(s)): s for m, s in _golden_draws()}
+    for t in [s, f6] + [draws[key] for key in ((5, 12), (6, 13), (7, 17))]:
+        full = decide_oblique(t)
+        for k in range(full.nodes):
+            assert decide_oblique(t, budget=k) == deciders.ObliqueResult("unknown", None, k), (t.shape, len(t), k)
+        for k in (full.nodes, full.nodes + 1):
+            assert decide_oblique(t, budget=k) == full, (t.shape, len(t), k)
     # not-free inputs are refuted without search regardless of budget
     bad = Support(Shape(2, 2, 2), ((0, 0, 0), (0, 0, 1)))
     assert decide_oblique(bad, budget=0).status == "not_oblique"
     with pytest.raises(ValueError):
         decide_oblique(s, budget=-1)
+
+
+def test_oblique_search_leaves_no_cyclic_garbage():
+    # a reference cycle left by each call (a recursive closure, a suspended
+    # generator) lives until the next collection and raises the peak memory
+    # of a long run of searches
+    supports = [s for _, s in _golden_draws()] + [free_max_support(m) for m in range(2, 9)]
+    gc.collect()
+    gc.disable()
+    try:
+        for s in supports:
+            decide_oblique(s)
+            decide_oblique(s, budget=17)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_max_oblique_size_formulas():
