@@ -86,7 +86,8 @@ class Tensor:
             t = (int(t[0]), int(t[1]), int(t[2]))
             if not self.shape.contains(t):
                 raise ShapeError(f"entry {t} out of range for shape {tuple(self.shape)}")
-            v = Fraction(v)
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
             if v != 0:
                 clean[t] = v
         object.__setattr__(self, "entries", dict(sorted(clean.items())))

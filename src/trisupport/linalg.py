@@ -16,15 +16,19 @@ which rows are dependent, or on any elimination heuristic.
 
 `nullspace` is a certified modular solver:
 
-1. Run `_kernel` mod a fixed 61-bit prime p on every row.  The rows it keeps
-   are independent mod p, so independent over Q, and span the rest mod p.
+1. Run `_kernel` mod a fixed 127-bit prime p on every row.  The rows it
+   keeps are independent mod p, so independent over Q, and span the rest mod
+   p.  One prime reconstructs entries whose numerator and denominator fit in
+   63 bits, so most systems need no second one.
 2. Run each later prime on the kept rows only.  A prime whose free set
    differs from the first one's is unlucky: `nullspace` falls back to
    `Echelon`.
-3. Combine the residues of successive primes by CRT and rationally
-   reconstruct each entry (Wang 1981).  A vector is accepted once it
-   satisfies every input row exactly (A v = 0), dependent rows included; the
-   others wait for the next prime.
+3. Each candidate vector stays sparse, as its nonzero residues: the CRT
+   combines only the union of two primes' supports, and the entries are
+   rationally reconstructed (Wang 1981) in ascending column order.  A vector
+   is accepted once it satisfies every input row exactly (A v = 0), dependent
+   rows included, and only then becomes a dense Fraction list; the others
+   wait for the next prime.
 4. The rank of all rows mod p is the number of kept rows, which is at most
    the rank over Q.  So ncols - rank_p accepted vectors, independent because
    they are the identity on the free set, leave no room for more: they are a
@@ -53,18 +57,9 @@ from typing import Iterable, Optional, Sequence
 
 SparseRow = dict[int, int]
 
-# the eight largest primes below 2^61; together they reconstruct entries whose
-# numerator and denominator have up to about 240 bits each
-PRIMES = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693693,
-    2305843009213693669,
-    2305843009213693613,
-    2305843009213693561,
-)
+# the four largest primes below 2^127; one reconstructs entries whose numerator
+# and denominator have up to 63 bits, all four together up to about 250
+PRIMES = (2**127 - 1, 2**127 - 25, 2**127 - 39, 2**127 - 295)
 _ZERO = Fraction(0)
 
 
@@ -187,23 +182,22 @@ def _rational(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _reconstruct(residues: list[int], m: int) -> Optional[tuple[list[int], int]]:
-    """A rational candidate for one vector, as integers over one common
-    denominator.  The entries share denominators, so each residue is first
-    tried against the lcm of those found so far."""
+def _reconstruct(residues: SparseRow, m: int) -> Optional[tuple[SparseRow, int]]:
+    """A rational candidate for one vector from its nonzero residues, as
+    integers over one common denominator.  The entries share denominators, so
+    each residue, in ascending column order, is first tried against the lcm
+    of those found so far."""
     half = m >> 1
     bound = isqrt(half)
     den = 1
-    out: list[int] = []
-    for u in residues:
-        if not u:
-            out.append(0)
-            continue
+    out: SparseRow = {}
+    for c in sorted(residues):
+        u = residues[c]
         t = u * den % m
         if t > half:
             t -= m
         if -bound <= t <= bound:
-            out.append(t)
+            out[c] = t
             continue
         q = _rational(u, m, bound)
         if q is None:
@@ -211,21 +205,20 @@ def _reconstruct(residues: list[int], m: int) -> Optional[tuple[list[int], int]]
         n, d = q
         grown = lcm(den, d)
         if grown != den:
-            out = [x * (grown // den) for x in out]
+            out = {c2: x * (grown // den) for c2, x in out.items()}
             den = grown
-        out.append(n * (den // d))
+        out[c] = n * (den // d)
     return out, den
 
 
-def _annihilates(cols: list[list[tuple[int, int]]], vec: list[int]) -> bool:
+def _annihilates(cols: list[list[tuple[int, int]]], nrows: int, vec: SparseRow) -> bool:
     """A v = 0 exactly, with A given by columns as (row, value) pairs; only
     the columns in the support of v are read."""
-    acc: dict[int, int] = {}
-    for c, x in enumerate(vec):
-        if x:
-            for i, v in cols[c]:
-                acc[i] = acc.get(i, 0) + v * x
-    return not any(acc.values())
+    acc = [0] * nrows
+    for c, x in vec.items():
+        for i, v in cols[c]:
+            acc[i] += v * x
+    return not any(acc)
 
 
 def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[list[Fraction]]]:
@@ -236,7 +229,7 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
     system = rows
     cols: Optional[list[list[tuple[int, int]]]] = None
     free: Optional[list[int]] = None
-    residues: dict[int, list[int]] = {}
+    residues: dict[int, SparseRow] = {}
     done: dict[int, list[Fraction]] = {}
     m = 1
     for p in PRIMES:
@@ -244,18 +237,15 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
         if free is None:
             free = list(basis)
             system = [system[i] for i in kept]
+            residues = basis
         elif list(basis) != free:
             return None
-        inv = pow(m, -1, p)
-        for f in free:
-            if f in done:
-                continue
-            vec = [0] * ncols
-            for c, v in basis[f].items():
-                vec[c] = v
-            acc = residues.setdefault(f, vec)
-            if acc is not vec:
-                for c, (a, b) in enumerate(zip(acc, vec)):
+        else:
+            inv = pow(m, -1, p)
+            for f, acc in residues.items():
+                vec = basis[f]
+                for c in acc.keys() | vec.keys():
+                    a, b = acc.get(c, 0), vec.get(c, 0)
                     if a != b:
                         acc[c] = a + m * ((b - a) * inv % p)
         m *= p
@@ -266,9 +256,12 @@ def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[li
                     cols[c].append((i, v))
         for f in list(residues):
             cand = _reconstruct(residues[f], m)
-            if cand is not None and _annihilates(cols, cand[0]):
+            if cand is not None and _annihilates(cols, len(rows), cand[0]):
                 ints, den = cand
-                done[f] = [Fraction(x, den) if x else _ZERO for x in ints]
+                vec = [_ZERO] * ncols
+                for c, x in ints.items():
+                    vec[c] = Fraction(x, den) if den > 1 else Fraction(x)  # Fraction(x) skips the gcd
+                done[f] = vec
                 del residues[f]
         if not residues:
             return [done[f] for f in free]

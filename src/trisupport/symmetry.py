@@ -103,9 +103,9 @@ def _action_rows(t: Tensor) -> tuple[list[linalg.SparseRow], int]:
 def _vec_to_element(vec: list[Fraction], shape: Shape) -> LieElement:
     a, b, c = shape
     na, nb = a * a, b * b
-    x = tuple(tuple(vec[i * a + i2] for i2 in range(a)) for i in range(a))
-    y = tuple(tuple(vec[na + j * b + j2] for j2 in range(b)) for j in range(b))
-    z = tuple(tuple(vec[na + nb + k * c + k2] for k2 in range(c)) for k in range(c))
+    x = tuple(tuple(vec[i : i + a]) for i in range(0, na, a))
+    y = tuple(tuple(vec[j : j + b]) for j in range(na, na + nb, b))
+    z = tuple(tuple(vec[k : k + c]) for k in range(na + nb, na + nb + c * c, c))
     return LieElement(x, y, z)
 
 

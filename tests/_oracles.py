@@ -1,22 +1,23 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 These deliberately avoid the library's algorithms: the tightness oracle is a
-complete bounded search over integer weightings, the freeness oracle compares
-every pair of triples, the antichain oracle is a maximum-independent-set
-search, the zero-box oracle enumerates every pair of first- and second-axis
-index subsets (sharing no code with trisupport.compress), the
-incompressibility-set oracle tests every grid triple against every support
-triple, the stabilizer and annihilator oracles rank their full dense systems
-by plain Fraction elimination (sharing no code with trisupport.linalg or
-trisupport.symmetry), the kernel-basis oracle is dense Fraction
-Gauss-Jordan elimination from the highest column down, the
+complete bounded search over integer weightings, the freeness oracle
+compares every pair of triples, the obliqueness oracle tries every triple of
+axis orders with its own pairwise comparison, the antichain oracle is a
+maximum-independent-set search, the zero-box oracle enumerates every pair of
+first- and second-axis index subsets (sharing no code with
+trisupport.compress), the incompressibility-set oracle tests every grid
+triple against every support triple, the stabilizer and annihilator oracles
+rank their full dense systems by plain Fraction elimination (sharing no code
+with trisupport.linalg or trisupport.symmetry), the kernel-basis oracle is
+dense Fraction Gauss-Jordan elimination from the highest column down, the
 injective-combination oracle combines Fractions pairwise where
-trisupport.linalg hashes integer columns, the functional oracle is a
-simplex grid sweep, the functional's certificate is recomputed from its
-distribution in plain Python over the oracle's own dominated set, and the
-cube census oracle reads maximal antichains off plane partitions and groups
-them by sorted triple tuples, where trisupport.deciders runs Bron-Kerbosch
-on bitmasks.
+trisupport.linalg hashes integer columns, the functional oracle is a simplex
+grid sweep, the functional's certificate is recomputed from its distribution
+in plain Python over the oracle's own dominated set, and the cube census
+oracle reads maximal antichains off plane partitions and groups them by
+sorted triple tuples, where trisupport.deciders runs Bron-Kerbosch on
+bitmasks.
 """
 
 from __future__ import annotations
@@ -158,17 +159,18 @@ def oracle_free(s: Support) -> bool:
     return True
 
 
+def _comparable(p: Triple, q: Triple) -> bool:
+    return all(x <= y for x, y in zip(p, q)) or all(y <= x for x, y in zip(p, q))
+
+
 def oracle_oblique(s: Support) -> bool:
     """Obliqueness by trying every triple of axis orders directly."""
-    from trisupport.core import AxisPermutations, apply_permutations
-    from trisupport.deciders import is_antichain
-
     a, b, c = s.shape
     for pa in itertools.permutations(range(a)):
         for pb in itertools.permutations(range(b)):
             for pc in itertools.permutations(range(c)):
-                moved = apply_permutations(s, AxisPermutations(pa, pb, pc))
-                if is_antichain(moved):
+                moved = [(pa[i], pb[j], pc[k]) for i, j, k in s.triples]
+                if not any(_comparable(p, q) for p, q in itertools.combinations(moved, 2)):
                     return True
     return False
 
@@ -187,8 +189,7 @@ def oracle_max_antichain(shape: Shape) -> int:
         for y in range(n):
             if x == y:
                 continue
-            p, q = verts[x], verts[y]
-            if all(p[d] <= q[d] for d in range(3)) or all(q[d] <= p[d] for d in range(3)):
+            if _comparable(verts[x], verts[y]):
                 adj[x] |= 1 << y
     best = 0
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,27 @@ def test_tensor_drops_zero_coefficients():
     t = Tensor(Shape(2, 2, 2), {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(0)})
     assert t.support().triples == ((0, 0, 0),)
     assert t.support().triples == t.support().triples  # extraction is idempotent
+
+
+def test_tensor_keeps_fraction_coefficients_and_converts_the_rest():
+    shape = Shape(2, 2, 2)
+    half, two = Fraction(1, 2), Fraction(2)
+    t = Tensor(shape, {(1, 0, 0): half, (0, 0, 0): two, (1, 1, 1): Fraction(0)})
+    assert list(t.entries) == [(0, 0, 0), (1, 0, 0)]
+    assert t.entries[(0, 0, 0)] is two and t.entries[(1, 0, 0)] is half
+    coefs = {(0, 0, 0): 3, (0, 0, 1): True, (0, 1, 0): "-2/4", (0, 1, 1): 0, (1, 0, 0): False, (1, 0, 1): "0/5"}
+    t = Tensor(shape, coefs)
+    assert t.entries == {(0, 0, 0): Fraction(3), (0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-1, 2)}
+    assert all(type(v) is Fraction for v in t.entries.values())
+    for bad, error, message in [
+        ("abc", ValueError, "Invalid literal for Fraction: 'abc'"),
+        (None, TypeError, "argument should be a string or a Rational instance"),
+        ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+    ]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Tensor(shape, {(0, 0, 0): bad})
+    with pytest.raises(ShapeError, match=r"^entry \(2, 0, 0\) out of range for shape \(2, 2, 2\)$"):
+        Tensor(shape, {(2, 0, 0): half})
 
 
 def test_is_concise_support():

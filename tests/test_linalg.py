@@ -89,9 +89,58 @@ def test_large_kernel_entries_need_several_primes():
         assert basis == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
         _assert_certified(rows, ncols, basis)
         widest = max(widest, _max_bits(basis))
-    # one 61-bit prime reconstructs only numerators and denominators below 2^30;
-    # entries this wide take at least four
+    # one 127-bit prime reconstructs only numerators and denominators below
+    # 2^63; entries this wide take at least two
     assert widest > 90
+
+
+def _is_probable_prime(n):
+    """Miller-Rabin with the first twelve primes as fixed bases; at this size
+    a strong check, not a proof."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_are_the_four_largest_below_2_127():
+    assert len(set(PRIMES)) == 4
+    assert all(2**126 < p < 2**127 and _is_probable_prime(p) for p in PRIMES)
+    assert [n for n in range(min(PRIMES), 2**127) if _is_probable_prime(n)] == sorted(PRIMES)
+
+
+@pytest.mark.parametrize(
+    "a, b, passes",
+    [
+        (2**63 - 1, 2**63 - 2, 1),
+        (-(2**62 + 1), 3, 1),
+        (2**63, 2**63 + 1, 2),
+        (2**126 - 1, 2**126 - 3, 2),
+    ],
+    ids=["63-bit", "63-bit-over-3", "64-bit", "126-bit"],
+)
+def test_one_prime_reconstructs_entries_below_2_63(monkeypatch, a, b, passes):
+    # the kernel vector of a x0 - b x1 = 0 is (1, a/b); one 127-bit prime
+    # reconstructs numerators and denominators below 2^63, two below 2^126
+    rows = [{0: a, 1: -b}]
+    primes_used = []
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, q=0: primes_used.append(q) or kernel(rows, ncols, q))
+    assert modular_nullspace(rows, 2) == [[Fraction(1), Fraction(a, b)]]
+    assert primes_used == list(PRIMES[:passes])
 
 
 def test_prime_dividing_the_pivot_falls_back(monkeypatch):

@@ -2,7 +2,8 @@
 so a name it lists that the library no longer has breaks `--trace 1`; a
 library change that breaks one of the benchmark's answer checks fails its
 self-test; importing the package builds no census table; the README's CLI
-block shows every leaf command; and `certify` imports nothing that it checks."""
+block shows every leaf command; and `certify` and the test oracles import
+nothing that they check."""
 
 import argparse
 import ast
@@ -69,15 +70,26 @@ def test_readme_cli_block_shows_every_leaf_command():
         assert any(tuple(words[: len(leaf)]) == leaf for words in shown), " ".join(leaf)
 
 
+def _imports(path: Path) -> list[str]:
+    """Every module `path` imports, relative ones with their leading dots."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(("." * node.level) + (node.module or ""))
+    return names
+
+
 def test_certify_imports_only_core_and_the_standard_library():
     # the checker shares no code with the solvers whose answers it checks
-    tree = ast.parse((ROOT / "src" / "trisupport" / "certify.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [("." * node.level) + (node.module or "")]
-        else:
-            continue
-        for name in names:
-            assert name == ".core" or name.split(".")[0] in sys.stdlib_module_names, name
+    for name in _imports(ROOT / "src" / "trisupport" / "certify.py"):
+        assert name == ".core" or name.split(".")[0] in sys.stdlib_module_names, name
+
+
+def test_oracles_import_only_core_from_the_library():
+    # the brute-force oracles share no code with the code they check
+    names = _imports(ROOT / "tests" / "_oracles.py")
+    assert "trisupport.core" in names
+    for name in names:
+        assert name.split(".")[0] != "trisupport" or name == "trisupport.core", name
