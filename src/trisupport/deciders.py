@@ -125,11 +125,12 @@ def not_tight_certificate(s: Support) -> Optional[tuple[Triple, ...]]:
     first-axis value, so one pass over such pairs with the (j, k) -> triple
     map finds it, at O(sum of squared first-axis degrees).
     """
-    projections: list[dict[tuple[int, ...], Triple]] = []
-    for d in range(3):
-        seen: dict[tuple[int, ...], Triple] = {}
+    _a, b, c = s.shape
+    projections: list[dict[int, Triple]] = []
+    for x, n, y in ((1, c, 2), (0, c, 2), (0, b, 1)):  # keys j c + k, i c + k, i b + j
+        seen: dict[int, Triple] = {}
         for t in s.triples:
-            key = t[:d] + t[d + 1:]
+            key = t[x] * n + t[y]
             if key in seen:
                 return seen[key], t
             seen[key] = t
@@ -140,9 +141,9 @@ def not_tight_certificate(s: Support) -> Optional[tuple[Triple, ...]]:
         by_i.setdefault(t[0], []).append(t)
     for row in by_i.values():
         for p, q in itertools.combinations(row, 2):
-            r = by_jk.get((p[1], q[2]))
+            r = by_jk.get(p[1] * c + q[2])
             if r is not None:
-                u = by_jk.get((q[1], p[2]))
+                u = by_jk.get(q[1] * c + p[2])
                 if u is not None and u[0] == r[0]:
                     return p, q, r, u
     return None

@@ -42,10 +42,14 @@ against all rows.  If the first prime drops the rank, the kept rows' kernel
 is larger than A's, its vectors never verify, and the fixed primes run out:
 `nullspace` falls back to `Echelon` then too.
 
-`Echelon` is the same loop with p = 0, fraction-free: v <- pv v - w pvec,
-followed by a gcd strip, so every vector stays the primitive integer vector
-on its ray and no rounding can ever occur.  It serves the fallback, and
-`rank` counts the rows it keeps on the system or its transpose.
+Mod p, `_kernel` keeps a value as computed while it lies in (-p, p), reduces
+it with % p only outside, and takes the pivot inverse in (-p/2, p/2]: on a 0/1
+incidence system a -1 stays -1, not the 127-bit p - 1.  Its basis is returned
+in [0, p), as the CRT and the reconstruction read it.  `Echelon` is the same
+loop with p = 0, fraction-free: v <- pv v - w pvec, followed by a gcd strip,
+so every vector stays the primitive integer vector on its ray and no rounding
+can ever occur.  It serves the fallback, and `rank` counts the rows it keeps
+on the system or its transpose.
 """
 
 from __future__ import annotations
@@ -84,20 +88,22 @@ def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int
     through the column -> vectors index; when all vanish the row is skipped,
     else the vector of the highest free column it hits becomes a pivot and is
     eliminated from the others it hits: mod p v <- v - (w / pv) pvec, over Z
-    v <- pv v - w pvec with a gcd strip.  Every vector stays the identity on
-    the free columns (over Z up to its own scale, v[f]), so the basis is read
-    off with no back-substitution.
+    v <- pv v - w pvec with a gcd strip, both as v + w' pvec with the factor
+    w' negated once.  Every vector stays the identity on the free columns (over
+    Z up to its own scale, v[f]), so the basis is read off with no
+    back-substitution.  Mod p the values are signed (see above).
     """
     # cols[c] holds column c of the basis by free column; supp[f] the columns of v_f
     cols: list[dict[int, int]] = [{c: 1} for c in range(ncols)]
     supp: dict[int, set[int]] = {c: {c} for c in range(ncols)}
     kept: list[int] = []
+    lo = -p  # mod p a value stays as computed while it lies in (lo, p)
     for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
         prods: dict[int, int] = {}
         for c, a in rows[i].items():
             for f, x in cols[c].items():
                 prods[f] = prods.get(f, 0) + a * x
-        prods = {f: w for f, v in prods.items() if (w := v % p if p else v)}
+        prods = {f: w for f, v in prods.items() if (w := (v if p > v > lo else v % p) if p else v)}
         if not prods:
             continue
         kept.append(i)
@@ -105,10 +111,10 @@ def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int
         pv = prods.pop(piv)
         pivot = [(c, cols[c].pop(piv)) for c in supp.pop(piv)]
         if p:
-            inv = pow(pv, -1, p)
-            facs = [(f, w * inv % p) for f, w in prods.items()]
+            inv = q - p if (q := pow(pv, -1, p)) > p >> 1 else q  # signed: 1 / -1 is -1
+            facs = [(f, d if p > (d := -w * inv) > lo else d % p) for f, w in prods.items()]
         else:
-            facs = list(prods.items())
+            facs = [(f, -w) for f, w in prods.items()]
             for f, _w in facs:
                 for c in supp[f]:
                     cols[c][f] *= pv
@@ -117,9 +123,9 @@ def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int
             for f, w in facs:
                 old = col.get(f)
                 if old is None:
-                    col[f] = -w * x % p if p else -w * x
+                    col[f] = (d if p > (d := w * x) > lo else d % p) if p else w * x
                     supp[f].add(c)
-                elif new := (old - w * x) % p if p else old - w * x:
+                elif new := (d if p > (d := old + w * x) > lo else d % p) if p else old + w * x:
                     col[f] = new
                 else:
                     del col[f]
@@ -130,7 +136,7 @@ def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int
                 if g > 1:
                     for c in supp[f]:
                         cols[c][f] //= g
-    return kept, {f: {c: cols[c][f] for c in supp[f]} for f in sorted(supp)}
+    return kept, {f: {c: x + p if (x := cols[c][f]) < 0 < p else x for c in supp[f]} for f in sorted(supp)}
 
 
 class Echelon:
@@ -285,16 +291,18 @@ def injective_combination(
     ranges [lo, hi) that partition the entries.
 
     The work is in integers: the vectors are scaled once by the lcm D > 0 of
-    their denominators, which moves no combination off its ray, and a block
-    has an agreeing pair exactly when two of its columns (the tuples of one
-    entry over all vectors) hash alike.  Otherwise injectivity is generic on
-    the span, so 64 seeded random combinations are tried first.  The
-    fallback (1, n, n^2, ...) sweep ends: each entry difference is a nonzero
-    polynomial in n of degree below len(vectors), so some n below
-    pairs * (len(vectors) - 1) + 2 works.
+    their denominators, which moves no combination off its ray (each entry's
+    numerator and denominator are read once, and when D = 1 the numerators
+    are the scaled vectors), and a block has an agreeing pair exactly when
+    two of its columns (the tuples of one entry over all vectors) hash
+    alike.  Otherwise injectivity is generic on the span, so 64 seeded
+    random combinations are tried first.  The fallback (1, n, n^2, ...)
+    sweep ends: each entry difference is a nonzero polynomial in n of degree
+    below len(vectors), so some n below pairs * (len(vectors) - 1) + 2 works.
     """
-    den = lcm(*(v.denominator for vec in vectors for v in vec))
-    scaled = [[v.numerator * (den // v.denominator) for v in vec] for vec in vectors]
+    ratios = [[v.as_integer_ratio() for v in vec] for vec in vectors]
+    den = lcm(*(d for ratio in ratios for _n, d in ratio))
+    scaled = [[n for n, _d in ratio] if den == 1 else [n * (den // d) for n, d in ratio] for ratio in ratios]
     width = blocks[-1][1] if blocks else 0
     columns = list(zip(*scaled)) if scaled else [()] * width
     for lo, hi in blocks:

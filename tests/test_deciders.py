@@ -1,8 +1,10 @@
 import gc
 import itertools
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +161,41 @@ def test_tight_and_intercalate_free_supports_are_not_refuted(monkeypatch):
         assert not_tight_certificate(s) is None
         assert decide_tight(s) is None
     assert len(calls) == len(supports)
+
+
+TIGHT_GOLDEN = Path(__file__).parent / "golden" / "tight_witnesses.json"
+
+
+def _tight_golden_supports():
+    out = [(f"t-max({m})", tight_max_support(m)[0]) for m in range(2, 25)]
+    out += [(f"f-max({m})", free_max_support(m)) for m in range(2, 10)]
+    out += [(f"census(3)[{n}]", rep) for n, rep in enumerate(census(3).representatives)]
+    out.append(("oblique-not-tight-4", oblique_not_tight_4().support()))
+    rng = random.Random(24)
+    out += [(f"draw-{n}", s) for n, s in enumerate(_refutation_draws(rng, 270))]
+    for n in range(30):
+        m = (8, 12, 16, 20, 24)[n % 5]
+        out.append((f"cube-{n}", _free_support(rng, Shape(m, m, m), round(rng.uniform(0.15, 0.6) * m * m))))
+    return out
+
+
+def _tight_golden_record(name, s):
+    w = decide_tight(s)
+    cert = not_tight_certificate(s)
+    return {
+        "name": name,
+        "size": len(s),
+        "witness": None if w is None else [list(w.tau_a), list(w.tau_b), list(w.tau_c)],
+        "certificate": None if cert is None else [list(t) for t in cert],
+    }
+
+
+def test_tight_witnesses_and_certificates_match_golden():
+    # recorded before the integer-keyed certificate scan and the signed
+    # residues of `linalg._kernel`: every witness and certificate, exactly
+    golden = json.loads(TIGHT_GOLDEN.read_text())
+    for (name, s), want in zip(_tight_golden_supports(), golden, strict=True):
+        assert _tight_golden_record(name, s) == want, name
 
 
 def test_tight_implies_oblique_implies_free():

@@ -200,6 +200,54 @@ def test_degenerate_systems():
     assert nullspace([], 0) == []
 
 
+def _residue_systems():
+    """Systems with negative entries, of three kinds: incidence rows of random
+    supports with a random sign on each entry; the action rows of generic
+    tensors (coefficients in [-100, 100]); and dense rows with entries in
+    [-9, 9], whose kernels have small denominators, so that their residues,
+    the elimination factors and the products of the two are wide and the
+    kernel updates leave (-p, p)."""
+    rng = random.Random(43)
+    out = []
+    for _ in range(30):
+        shape = Shape(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+        a, b, _c = shape
+        rows = [
+            {i: rng.choice((-1, 1)), a + j: rng.choice((-1, 1)), a + b + k: rng.choice((-1, 1))}
+            for i, j, k in random_support(rng, shape, rng.uniform(0.05, 0.4)).triples
+        ]
+        out.append(("signed incidence", rows, sum(shape)))
+    for n in range(6):
+        s = random_support(rng, Shape(rng.randint(2, 3), rng.randint(2, 3), rng.randint(2, 3)), 0.5)
+        out.append(("generic annihilator", *_action_rows(generic_tensor_on(s, rng))))
+    for _ in range(30):
+        ncols = rng.randint(6, 12)
+        rows = [{c: v for c in range(ncols) if (v := rng.randint(-9, 9))} for _ in range(ncols - 3)]
+        out.append(("wide updates", rows, ncols))
+    return out
+
+
+def test_kernel_mod_p_returns_residues_in_range():
+    # `_kernel` keeps signed values while it eliminates; the basis it returns
+    # is the oracle's, reduced into [0, p)
+    kinds = set()
+    for kind, rows, ncols in _residue_systems():
+        for p in PRIMES[:2]:
+            free, oracle = oracle_kernel_basis(rows, ncols)
+            want = {
+                f: {c: v.numerator * pow(v.denominator, -1, p) % p for c, v in enumerate(vec) if v}
+                for f, vec in zip(free, oracle)
+            }
+            basis = linalg._kernel(rows, ncols, p)[1]
+            assert all(0 <= x < p for vec in basis.values() for x in vec.values()), kind
+            assert basis == want, kind
+        kinds.add(kind)
+        if kind != "signed incidence":
+            # the residues are wide: not every entry is a small signed integer
+            assert any(min(x, p - x).bit_length() > 100 for vec in basis.values() for x in vec.values()), kind
+    assert len(kinds) == 3
+
+
 def _tensor_corpus():
     rng = random.Random(33)
     s3, _ = tight_max_support(3)

@@ -1,5 +1,6 @@
 """The benchmark's tracer rebinds library functions by name with no default,
-so a name it lists that the library no longer has breaks `--trace 1`; a
+so a name it lists that the library no longer has breaks `--trace 1`, and it
+forwards only `(rows, ncols)` to the `linalg` functions it wraps; a
 library change that breaks one of the benchmark's answer checks fails its
 self-test; importing the package builds no census table; the README's CLI
 block shows every leaf command; and `certify` and the test oracles import
@@ -8,6 +9,7 @@ nothing that they check."""
 import argparse
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -34,6 +36,15 @@ def test_every_traced_function_resolves():
     assert targets
     for module, name in targets:
         assert callable(getattr(importlib.import_module(f"trisupport.{module}"), name, None)), (module, name)
+
+
+def test_traced_linalg_functions_take_rows_and_ncols_only():
+    # `Tracer._wrap` wraps them as fn(rows, ncols); another parameter would crash `--trace 1`
+    targets = [pair for name, pairs in _traced().items() if name.startswith("linalg.") for pair in pairs]
+    assert targets
+    for module, name in targets:
+        params = inspect.signature(getattr(importlib.import_module(f"trisupport.{module}"), name)).parameters
+        assert list(params) == ["rows", "ncols"], (module, name, list(params))
 
 
 def test_benchmark_selftest_passes():
