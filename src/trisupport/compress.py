@@ -5,18 +5,30 @@ claim is witnessed by coordinate subspaces, so the searches verify all of
 them; results are exact for the coordinate notion and lower bounds for the
 subspace notion, and outputs are labeled accordingly.
 
-Multicompressibility asks one search context per support (`_box_finder`) for
-its size splits, skips those with a zero part, and settles dominated ones by
-one lookup in a reach table.
+Multicompressibility reads small shapes off one table: for every pair of
+index subsets of the two smaller axes, the bitmask of largest-axis values
+that some triple joins to them, built by subset doubling over numpy unsigned
+integers.  Above TABLE_MAX_BITS that table is too large, and one search
+context per support (`_box_finder`) answers the size splits instead,
+skipping those with a zero part and settling dominated ones by one lookup in
+a reach table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import or_
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .core import Shape, Support
+
+# multicompressibility uses the subset table while the two smaller axes have at
+# most this many indices together (the table has 2 ** that many cells) and the
+# largest axis fits a uint64 mask; above it, the zero-box search answers
+TABLE_MAX_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -197,16 +209,76 @@ def _grow_zero_box(shape: Shape, tables: list[list[list[int]]], box: ZeroBox, fi
 
 def multicompressibility(s: Support) -> int:
     """Largest r such that every in-range size split (a', b', c') with
-    a'+b'+c' = r admits a zero box.  Splits are monotone, so r is scanned
-    upward until some split fails.  One `_box_finder` answers every split.
+    a'+b'+c' = r admits a zero box.  Splits are monotone: every split of
+    level r lies inside some split of level r + 1 (below a + b + c), and a
+    sub-box of a zero box is a zero box.  So r is the level below the first
+    failing split.  A box I x J x {} misses any support, so only splits with
+    every part nonzero can fail.
 
-    A box I x J x {} misses any support, so splits with a zero part need no
-    search.  A sub-box of a zero box is a zero box, so a box of dims (u, v, w)
-    witnesses every split componentwise <= (u, v, w): reach[x][y] is the
-    largest w of a witness with u >= x and v >= y (-1 if none), and a split
-    (x, y, z) with z <= reach[x][y] is skipped.  Every box a search returns
-    is grown to a maximal zero box once from each starting axis along which
-    it is not maximal already, and the grown dims enter the reach table."""
+    When the two smaller axes have at most TABLE_MAX_BITS indices together
+    and the largest at most 64, `_multicompressibility_table` answers from
+    one table of every pair of smaller-axis subsets; otherwise
+    `_multicompressibility_search` runs a zero-box search per split."""
+    small = sorted(s.shape)
+    if small[0] + small[1] <= TABLE_MAX_BITS and small[2] <= 64:
+        return _multicompressibility_table(s)
+    return _multicompressibility_search(s)
+
+
+@cache
+def _by_popcount(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets 0 .. 2**n - 1 of n indices ordered by size (stably), and
+    where each size's run starts in that order."""
+    counts = np.bitwise_count(np.arange(1 << n))
+    order = np.argsort(counts, kind="stable")
+    return order, np.searchsorted(counts[order], np.arange(n + 1))
+
+
+def _multicompressibility_table(s: Support) -> int:
+    """`multicompressibility` from the exact table of blocked values.
+
+    The two smaller axes come first (ties by axis index) and the largest
+    axis's values become bits of the narrowest unsigned numpy integer that
+    holds them.  A subset doubling over the first axis ORs the per-cell
+    masks into rows[I, j]; a second over the second axis gives table[I, J],
+    the largest-axis values some triple joins to I x J.  A zero box of sizes
+    (x, y, z) exists iff some |I| = x, |J| = y leave z of the n2 largest-axis
+    values free, so with least[x][y] the fewest blocked values over such
+    pairs, the first failing split with first parts (x, y) has
+    z = n2 - least[x][y] + 1, when that is at most n2."""
+    dims = tuple(s.shape)
+    d0, d1, d2 = sorted(range(3), key=lambda d: (dims[d], d))
+    n0, n1, n2 = dims[d0], dims[d1], dims[d2]
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= n2)
+    masks = [[0] * n1 for _ in range(n0)]
+    for t in s.triples:
+        masks[t[d0]][t[d1]] |= 1 << t[d2]
+    cells = np.array(masks, dtype)
+    rows = np.zeros((1 << n0, n1), dtype)
+    for v in range(n0):
+        rows[1 << v : 2 << v] = rows[: 1 << v] | cells[v]
+    table = np.zeros((1 << n0, 1 << n1), dtype)
+    for v in range(n1):
+        table[:, 1 << v : 2 << v] = table[:, : 1 << v] | rows[:, v, None]
+    (order0, starts0), (order1, starts1) = _by_popcount(n0), _by_popcount(n1)
+    least = np.minimum.reduceat(np.bitwise_count(table)[order0], starts0, axis=0)
+    least = np.minimum.reduceat(least[:, order1], starts1, axis=1)
+    # the level below the failing split (x, y, n2 - least + 1)
+    below = np.add.outer(np.arange(n0 + 1), np.arange(n1 + 1)) + n2 - least
+    fails = below[1:, 1:][least[1:, 1:] > 0]
+    return int(fails.min()) if fails.size else sum(dims)
+
+
+def _multicompressibility_search(s: Support) -> int:
+    """`multicompressibility` by scanning the levels upward, with one
+    `_box_finder` for every split.
+
+    A box of dims (u, v, w) witnesses every split componentwise <= (u, v, w):
+    reach[x][y] is the largest w of a witness with u >= x and v >= y (-1 if
+    none), and a split (x, y, z) with z <= reach[x][y] is skipped.  Every box
+    a search returns is grown to a maximal zero box once from each starting
+    axis along which it is not maximal already, and the grown dims enter the
+    reach table."""
     dims = tuple(s.shape)
     a, b, _ = dims
     reach = [[-1] * (b + 1) for _ in range(a + 1)]

@@ -75,8 +75,12 @@ class TightWitness:
 
 def is_free(s: Support) -> bool:
     """True iff every pair of distinct triples differs in at least two entries,
-    that is, iff forgetting any one axis keeps the triples distinct."""
-    return all(len({t[:d] + t[d + 1:] for t in s.triples}) == len(s) for d in range(3))
+    that is, iff forgetting any one axis keeps the triples distinct.  The
+    projections are keyed by j c + k, i c + k and i b + j."""
+    _a, b, c = s.shape
+    return all(
+        len({t[x] * n + t[y] for t in s.triples}) == len(s) for x, n, y in ((1, c, 2), (0, c, 2), (0, b, 1))
+    )
 
 
 def is_antichain(s: Support) -> bool:

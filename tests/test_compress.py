@@ -135,7 +135,13 @@ def test_zero_box_searches_match_brute_force_oracle():
             assert box is None or (box.dims() == dims and box.avoids(s))
         kappa, box = total_compressibility(s)
         assert kappa == oracle_total_compressibility(s) == sum(box.dims())
-        assert multicompressibility(s) == oracle_multicompressibility(s)
+        _assert_multicompressibility_matches_oracle(s)
+
+
+def _assert_multicompressibility_matches_oracle(s: Support) -> None:
+    want = oracle_multicompressibility(s)
+    for path in (multicompressibility, compress._multicompressibility_table, compress._multicompressibility_search):
+        assert path(s) == want, (path.__name__, s)
 
 
 def test_multicompressibility_matches_oracle_past_4x4x4():
@@ -143,7 +149,7 @@ def test_multicompressibility_matches_oracle_past_4x4x4():
     for _ in range(30):
         shp = Shape(rng.randint(4, 6), rng.randint(4, 6), rng.randint(4, 6))
         s = random_support(rng, shp, rng.uniform(0.1, 0.5))
-        assert multicompressibility(s) == oracle_multicompressibility(s), s
+        _assert_multicompressibility_matches_oracle(s)
 
 
 def test_grown_zero_boxes_are_maximal():
@@ -169,7 +175,7 @@ def test_grown_zero_boxes_are_maximal():
 
 
 def test_growing_from_a_maximal_axis_equals_growing_from_the_next():
-    # multicompressibility skips a starting axis along which its box is maximal already
+    # the multicompressibility search skips a starting axis along which its box is maximal already
     skipped = 0
     for s in _seeded_supports(36, 40, 4):
         tables = compress._pair_masks(s)
@@ -216,7 +222,7 @@ def test_multicompressibility_skips_dominated_splits(monkeypatch, s, value, plai
     # a search per split of every level costs plain_scan_calls; grown witnesses
     # must settle all but a tenth of them
     calls = _counted_searches(monkeypatch)
-    assert multicompressibility(s) == value
+    assert compress._multicompressibility_search(s) == value
     assert 0 < len(calls) <= plain_scan_calls // 10, calls
 
 
@@ -262,7 +268,20 @@ def test_multicompressibility_matches_oracle_on_non_cubic_shapes_and_catalog():
     shapes = [shp for shp in itertools.product(range(2, 6), repeat=3) if len(set(shp)) == 3]
     supports = [random_support(rng, Shape(*shp), rng.uniform(0.1, 0.6)) for shp in shapes for _ in range(2)]
     for s in supports + _catalog_supports(7):
-        assert multicompressibility(s) == oracle_multicompressibility(s), s
+        _assert_multicompressibility_matches_oracle(s)
+
+
+def test_multicompressibility_table_and_search_agree(monkeypatch):
+    rng = random.Random(41)
+    cubes = [random_support(rng, Shape(9, 9, 9), density) for density in (0.05, 0.1, 0.2, 0.4)]
+    for s in _seeded_supports(42, 150, 9) + cubes + _catalog_supports(9):
+        assert compress._multicompressibility_table(s) == compress._multicompressibility_search(s), s
+    # 8 + 8 smaller-axis indices fit the table; 10 + 10 do not
+    calls = _counted_searches(monkeypatch)
+    multicompressibility(random_support(rng, Shape(8, 8, 8), 0.2))
+    assert calls == []
+    multicompressibility(tight_max_support(10)[0])
+    assert calls
 
 
 def test_multicompressibility_search_count(monkeypatch):
@@ -271,7 +290,7 @@ def test_multicompressibility_search_count(monkeypatch):
     # rebuilt its set-up and zero-part splits were searched too)
     calls = _counted_searches(monkeypatch)
     for s in _seeded_supports(40, 40, 6) + _catalog_supports(7):
-        multicompressibility(s)
+        compress._multicompressibility_search(s)
     assert all(all(dims) for dims in calls)
     assert len(calls) == 441
 
