@@ -226,7 +226,7 @@ def _cmd_zeta(args) -> dict:
         res = (zeta_min_over_axis_orders if args.min_orders else zeta_full)(s, weights)
     except ZetaUnconverged as exc:
         raise ReportedExit(
-            {"status": "unknown", "reason": "ascent iteration cap", "gap": exc.gap, "iterations": exc.iterations},
+            {"status": "unknown", "reason": "unconverged zeta solve", "gap": exc.gap, "iterations": exc.iterations},
             EXIT_UNKNOWN,
         ) from exc
     if args.min_orders:

@@ -243,8 +243,9 @@ def support_to_obj(s: Support) -> dict:
     return {"shape": list(s.shape), "entries": [{"idx": list(t)} for t in s.triples]}
 
 
-def obj_to_tensor(obj: object) -> Tensor:
-    """Parse a document, refusing anything outside the schema with ValueError."""
+def _parse_document(obj: object) -> tuple[Shape, dict[Triple, Fraction]]:
+    """The shape and the entries of a document, refusing anything outside the
+    schema with ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"document must be a JSON object, got {type(obj).__name__}")
     items = obj.get("entries")
@@ -258,12 +259,21 @@ def obj_to_tensor(obj: object) -> Tensor:
         if idx in entries:
             raise ValueError(f"duplicate idx {list(idx)}")
         entries[idx] = _parse_fraction(e["coef"]) if "coef" in e else one
-    return Tensor(shape, entries)
+    for idx in entries:
+        if not shape.contains(idx):
+            raise ShapeError(f"entry {idx} out of range for shape {tuple(shape)}")
+    return shape, entries
+
+
+def obj_to_tensor(obj: object) -> Tensor:
+    """Parse a document, refusing anything outside the schema with ValueError."""
+    return Tensor(*_parse_document(obj))
 
 
 def obj_to_support(obj: object) -> Support:
-    """The support of the parsed tensor: entries with coefficient 0 drop out."""
-    return obj_to_tensor(obj).support()
+    """The support of the parsed document: entries with coefficient 0 drop out."""
+    shape, entries = _parse_document(obj)
+    return Support(shape, tuple(idx for idx, v in entries.items() if v))
 
 
 def tensor_to_json(t: Tensor) -> str:

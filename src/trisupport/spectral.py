@@ -4,12 +4,13 @@ The value is 2 to the maximum of a weighted sum of marginal Shannon entropies
 over probability distributions on the incompressibility set of the support.
 The maximization is a concave program over a simplex, solved by exponentiated
 gradient ascent with a monotonicity safeguard; a linearization gap certifies
-closeness to the optimum.  An ascent still unconverged after SWITCH steps,
-typically one whose optimum lies on the boundary of the simplex, tries a
-log-barrier Newton finish whose linear systems live in the space of the a+b+c
-marginals; its point is kept only with a gap below 1e-6 and no loss in the
-objective, and the ascent goes on otherwise.  Everything combinatorial stays
-exact; floats enter only here.
+closeness to the optimum.  The ascent runs at most SWITCH steps; one still
+unconverged then, typically one whose optimum lies on the boundary of the
+simplex, ends with a log-barrier Newton finish whose linear systems live in
+the space of the a+b+c marginals.  The finish's point is the answer when its
+own gap is below 1e-6; otherwise the value is reported unknown
+(ZetaUnconverged).  Everything combinatorial stays exact; floats enter only
+here.
 
 Values are coordinate-flag evaluations: the outer flag minimization is
 restricted to coordinate flags induced by axis reorderings, so minimized
@@ -33,14 +34,10 @@ import numpy as np
 from .core import AxisPermutations, Shape, Support, Triple, apply_permutations
 
 LOG_FLOOR = 1e-300
-# steps zeta_full takes before it gives up with ZetaUnconverged
-MAX_ITERATIONS = 100_000
-# ascent steps before an unconverged ascent tries the Newton finish
+# ascent steps zeta_full takes at most before the Newton finish
 SWITCH = 50
 # Newton steps the finish takes at most
 NEWTON_STEPS = 200
-# zeta_full stops once a step improves the objective by less than this and the gap is below 1e-6
-TOLERANCE = 1e-9
 # largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
 ORDER_MAX_DIM = 4
 
@@ -163,10 +160,11 @@ class ZetaResult:
 
 
 class ZetaUnconverged(RuntimeError):
-    """The ascent reached MAX_ITERATIONS with its gap still at or above 1e-6."""
+    """The Newton finish after SWITCH ascent steps failed or left its gap at
+    or above 1e-6; `gap` is the gap of the last point reached."""
 
     def __init__(self, gap: float, iterations: int):
-        super().__init__(f"ascent gap {gap} after {iterations} iterations")
+        super().__init__(f"gap {gap} after {iterations} iterations")
         self.gap = gap
         self.iterations = iterations
 
@@ -174,17 +172,15 @@ class ZetaUnconverged(RuntimeError):
 def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     """Maximize the weighted marginal entropy over distributions on the
     incompressibility set and return 2**maximum with a certificate gap, the
-    Frank-Wolfe gap of the returned distribution itself.  The ascent stops
-    once a step improves the objective by less than TOLERANCE with the gap
-    below 1e-6 before it and after it.
+    Frank-Wolfe gap of the returned distribution itself.  From the uniform
+    point, the exponentiated-gradient ascent steps while that gap is at or
+    above 1e-6, for at most SWITCH steps; a set that is the whole grid is
+    optimal at the start and answers after none.  An ascent still unconverged
+    then hands its iterate to `_newton_finish`, once, and the Newton point is
+    the answer when its own gap is below 1e-6.  `iterations` counts the
+    ascent steps plus the Newton steps.
 
-    An ascent still unconverged after SWITCH steps hands its iterate to
-    `_newton_finish`.  The Newton point is kept when its objective is at least
-    the handoff's less 1e-12 and its gap is below 1e-6; otherwise the ascent
-    continues from the handoff exactly as if the finish had not run.
-    `iterations` counts the ascent steps plus the Newton steps.
-
-    Raises ZetaUnconverged when MAX_ITERATIONS steps leave the gap at or
+    Raises ZetaUnconverged when the finish fails or leaves its gap at or
     above 1e-6."""
     phi = incompr_set(s)
     if not phi.points:
@@ -221,11 +217,12 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         cand /= cand.sum()
         return (cand, *evaluate(cand))
 
-    for t in range(MAX_ITERATIONS):
-        iterations = t + 1
+    # the gap that stops the ascent, and the one reported, is the current point's own
+    while gap >= 1e-6 and iterations < SWITCH:
         shifted = g - g.max()
         # base schedule, halved until monotone, then doubled while it helps
-        step = 1.0 / (1.0 + t / 100.0)
+        step = 1.0 / (1.0 + iterations / 100.0)
+        iterations += 1
         cand, cand_logq, f_new = try_step(shifted, step)
         while f_new < f - 1e-12 and step > 1e-12:
             step /= 2.0
@@ -238,24 +235,16 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
             cand, cand_logq, f_new = cand2, logq2, f2
         if f_new < f - 1e-9:
             raise AssertionError("internal: ascent step decreased the objective")
-        improvement = f_new - f
-        p, logq, f = cand, cand_logq, max(f, f_new)
-        settled = improvement < TOLERANCE and gap < 1e-6
-        # the gap reported, and the one that stops the ascent, is the returned point's own
+        p, logq, f = cand, cand_logq, f_new
         g, gap = gap_at(p, logq)
-        if settled and gap < 1e-6:
-            break
-        if iterations == SWITCH:
-            finish = _newton_finish(p, marg, row_theta)
-            if finish is not None:
-                point, newton_steps = finish
-                fin_logq, fin_f = evaluate(point)
-                fin_gap = gap_at(point, fin_logq)[1]
-                if fin_f >= f - 1e-12 and fin_gap < 1e-6:
-                    p, f, gap, iterations = point, fin_f, fin_gap, iterations + newton_steps
-                    break
-    else:
-        if gap >= 1e-6:
+    if gap >= 1e-6:
+        finish = _newton_finish(p, marg, row_theta)
+        if finish is not None:
+            p, newton_steps = finish
+            iterations += newton_steps
+            logq, f = evaluate(p)
+            gap = gap_at(p, logq)[1]
+        if finish is None or gap >= 1e-6:
             raise ZetaUnconverged(gap, iterations)
 
     cap = sum(th * math.log2(nn) for th, nn in zip(theta, sizes) if th > 0)

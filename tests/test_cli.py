@@ -111,6 +111,27 @@ def test_malformed_json_exits_invalid_without_traceback(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_support_documents_drop_zero_coefficients_and_refuse_bad_entries(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    kept = {"idx": [0, 1, 1]}
+
+    def zeta_of(entries):
+        path.write_text(json.dumps({"shape": [2, 2, 2], "entries": entries}))
+        return main(["zeta", "--in", str(path), "--theta", "1/3", "1/3", "1/3"]), capsys.readouterr()
+
+    code, plain = zeta_of([kept])
+    assert code == EXIT_OK
+    code, dropped = zeta_of([{"idx": [1, 0, 0], "coef": "0"}, kept])
+    assert code == EXIT_OK and json.loads(dropped.out)["result"] == json.loads(plain.out)["result"]
+    for entries, message in (
+        ([{"idx": [1, 0, 0], "coef": "1e2"}, kept], "coefficient must be a string p or p/q, got '1e2'"),
+        ([kept, {"idx": [0, 1, 1], "coef": "0"}], "duplicate idx [0, 1, 1]"),
+    ):
+        code, captured = zeta_of(entries)
+        assert code == EXIT_INVALID and captured.out == "", entries
+        assert captured.err.startswith("error:") and message in captured.err, captured.err
+
+
 def test_internal_invariant_exit_code(monkeypatch, capsys):
     import trisupport.cli as cli
 

@@ -190,6 +190,13 @@ def test_json_boundary_drops_zero_coefficients_like_tensor():
     assert tensor_from_json(json.dumps(doc)).support().triples == ((1, 1, 1),)
 
 
+def test_json_boundary_refuses_out_of_range_entries_alike_even_with_coefficient_0():
+    doc = {"shape": [2, 2, 2], "entries": [{"idx": [1, 1, 1]}, {"idx": [2, 0, 0], "coef": "0"}]}
+    for parse in (support_from_json, tensor_from_json):
+        with pytest.raises(ShapeError, match=r"^entry \(2, 0, 0\) out of range for shape \(2, 2, 2\)$"):
+            parse(json.dumps(doc))
+
+
 def test_json_boundary_coefficient_defaults_to_one_only_when_absent():
     doc = {"shape": [2, 2, 2], "entries": [{"idx": [0, 0, 0]}, {"idx": [1, 1, 1], "coef": "2"}]}
     assert tensor_from_json(json.dumps(doc)).entries == {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(2)}

@@ -89,7 +89,11 @@ def test_entropy_examples():
 @pytest.mark.parametrize("theta", [UNIFORM, SKEWED, POINTED])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_zeta_diagonal_normalization(r, theta):
-    assert abs(zeta(m_one_sum(r).support(), theta) - r) <= 1e-6
+    # the diagonal dominates the whole grid, where the uniform point is optimal: no step is taken
+    s = m_one_sum(r).support()
+    assert len(incompr_set(s)) == r**3
+    res = zeta_full(s, theta)
+    assert abs(res.value - r) <= 1e-6 and res.iterations == 0 and res.gap < 1e-6
 
 
 def test_zeta_two_point_value():
@@ -182,15 +186,20 @@ def _moved(s):
         yield tuple((pa[i], pb[j], pc[k]) for (i, j, k) in s.triples)
 
 
-def _exhaustive_order_min(s, weights):
-    """Every a! b! c! order, every distinct closure, then zeta: the minimum
-    and the set of all distinct closures."""
-    values = {}
+def _orders_by_closure(s):
+    """Every a! b! c! order, keyed by its closure: the first order's triples
+    for each distinct closure."""
+    found = {}
     for moved in _moved(s):
-        key = _closure(moved)
-        if key not in values:
-            values[key] = zeta(Support(s.shape, moved), weights)
-    return min(values.values()), set(values)
+        found.setdefault(_closure(moved), moved)
+    return found
+
+
+def _exhaustive_order_min(s, weights, orders=None):
+    """Zeta on every distinct closure of `orders` (by default
+    _orders_by_closure(s)): the minimum and the set of all distinct closures."""
+    orders = orders or _orders_by_closure(s)
+    return min(zeta(Support(s.shape, moved), weights) for moved in orders.values()), set(orders)
 
 
 def test_zeta_min_over_axis_orders_matches_exhaustive_minimum():
@@ -259,49 +268,65 @@ def test_zeta_min_invariant_under_relabelling_and_axis_swap(s, weights):
     assert abs(zeta_min_over_axis_orders(swapped, swapped_weights).value - base) <= 1e-6
 
 
-def test_zeta_full_raises_at_the_iteration_cap(monkeypatch, tmp_path, capsys):
-    # one step leaves t-max(4)'s gap near 0.07 (t-max(3)'s already below 1e-14)
-    s, _ = tight_max_support(4)
-    assert zeta_full(s, UNIFORM).iterations > 1
-    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
-    with pytest.raises(ZetaUnconverged) as caught:
-        zeta_full(s, UNIFORM)
-    assert caught.value.iterations == 1 and caught.value.gap >= 1e-6
-    path = tmp_path / "tmax4.json"
-    path.write_text(json.dumps(support_to_obj(s)))
-    for extra in ([], ["--min-orders"]):
-        code = main(["zeta", "--in", str(path), "--theta", "1/3", "1/3", "1/3", *extra])
-        report = json.loads(capsys.readouterr().out)
-        assert code == EXIT_UNKNOWN and report["result"]["status"] == "unknown"
+# an ascent that reaches SWITCH steps at uniform weights; the finish certifies it
+SLOW = Support(Shape(3, 3, 3), ((0, 0, 2), (1, 0, 0), (1, 2, 0), (2, 0, 1)))
 
 
-def _without_finish(monkeypatch, call, *args):
-    """The same call with the Newton finish failing, so the ascent alone answers."""
+def test_zeta_full_raises_when_the_finish_is_refused(monkeypatch, tmp_path, capsys):
+    assert zeta_full(SLOW, UNIFORM).iterations > spectral.SWITCH
     with monkeypatch.context() as patched:
         patched.setattr(spectral, "_newton_finish", lambda *_: None)
-        return call(*args)
+        with pytest.raises(ZetaUnconverged) as caught:
+            zeta_full(SLOW, UNIFORM)
+        assert caught.value.iterations == spectral.SWITCH and caught.value.gap >= 1e-6
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(support_to_obj(SLOW)))
+        for extra in ([], ["--min-orders"]):
+            code = main(["zeta", "--in", str(path), "--theta", "1/3", "1/3", "1/3", *extra])
+            report = json.loads(capsys.readouterr().out)["result"]
+            assert code == EXIT_UNKNOWN and report["status"] == "unknown", extra
+            assert report["reason"] == "unconverged zeta solve" and report["gap"] >= 1e-6
+            assert report["iterations"] == spectral.SWITCH
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "NEWTON_STEPS", 1)
+        with pytest.raises(ZetaUnconverged) as caught:
+            zeta_full(SLOW, UNIFORM)
+        assert caught.value.iterations == spectral.SWITCH + 1 and caught.value.gap >= 1e-6
 
 
-def test_newton_finish_sweep_agrees_with_the_ascent_alone(monkeypatch):
+def test_zeta_full_keeps_a_certified_newton_point_with_a_lower_objective():
+    # the exponentiated-gradient ascent run on to 72 steps reaches this value
+    # and gap; the Newton point's objective is a little lower, but its own gap
+    # certifies it, so it is the answer
+    ascent_log2, ascent_gap = 1.5238799756484218, 5.493248378396487e-07
+    res = zeta_full(SLOW, UNIFORM)
+    assert spectral.SWITCH < res.iterations < 72 and res.gap < 1e-7
+    assert res.log2_value < ascent_log2
+    assert abs(res.log2_value - ascent_log2) <= res.gap + ascent_gap
+
+
+def test_newton_finish_sweep_is_certified():
     rng = random.Random(50)
     drawn = [random_support(rng, Shape(m, m, m), rng.uniform(0.2, 0.5)) for m in [3] * 6 + [4] * 3]
     finished = 0
     for s in (s for s in drawn if s.triples):
+        # a distribution on a closure is one on every closure containing it, so
+        # the exhaustive minimum lies on an inclusion-minimal closure (every
+        # closure is evaluated in test_zeta_min_over_axis_orders_matches_exhaustive_minimum)
+        orders = _orders_by_closure(s)
+        minimal = {key: moved for key, moved in orders.items() if not any(other < key for other in orders)}
         for weights in (UNIFORM, SKEWED, POINTED, HALVES):
             res = zeta_full(s, weights)
-            plain = _without_finish(monkeypatch, zeta_full, s, weights)
-            assert res.gap < 1e-6 and plain.gap < 1e-6
-            assert abs(res.log2_value - plain.log2_value) <= res.gap + plain.gap, (s.triples, weights)
+            # by concavity the returned point's own gap bounds its distance to the maximum
             value, gap = oracle_zeta_certificate(s, weights.as_floats(), res.distribution.probs)
-            assert abs(value - res.log2_value) <= 1e-9
-            if res != plain:
-                # the Newton point's gap is its own, so the oracle reproduces it
-                finished += 1
-                assert res.iterations > spectral.SWITCH and abs(gap - res.gap) <= 1e-9, (s.triples, weights)
+            assert abs(value - res.log2_value) <= 1e-9 and abs(gap - res.gap) <= 1e-9, (s.triples, weights)
+            assert res.gap < 1e-6
+            finished += res.iterations > spectral.SWITCH
             low = zeta_min_over_axis_orders(s, weights)
-            low_plain = _without_finish(monkeypatch, zeta_min_over_axis_orders, s, weights)
-            assert low.gap < 1e-6 and low_plain.gap < 1e-6
-            assert abs(math.log2(low.value) - math.log2(low_plain.value)) <= low.gap + low_plain.gap + 1e-12
+            expected, closures = _exhaustive_order_min(s, weights, minimal)
+            assert low.status == "ok" and low.gap < 1e-6
+            assert abs(low.value - expected) <= 1e-6, (s.triples, weights, low.value, expected)
+            assert _closure(apply_permutations(s, low.permutations).triples) in closures, s.triples
     assert finished >= 3
 
 
@@ -341,18 +366,17 @@ def test_newton_finish_cuts_the_slow_order_minimum(monkeypatch, weights):
     [(oblique_not_tight_4().support(), UNIFORM), (tight_max_support(3)[0], SKEWED), (m_one_sum(3).support(), UNIFORM)],
     ids=["not-tight-4", "t-max(3)", "m1-sum(3)"],
 )
-def test_newton_finish_falls_back_to_the_ascent_bit_for_bit(monkeypatch, s, weights):
-    with monkeypatch.context() as patched:
-        patched.setattr(spectral, "SWITCH", spectral.MAX_ITERATIONS + 1)
-        ascent_only = zeta_full(s, weights)
+def test_singular_newton_solve_is_unknown_only_after_a_slow_ascent(monkeypatch, s, weights):
+    plain = zeta_full(s, weights)
 
     def singular(*args):
         raise np.linalg.LinAlgError("singular matrix")
 
     with monkeypatch.context() as patched:
         patched.setattr(np.linalg, "solve", singular)
-        assert zeta_full(s, weights) == ascent_only
-    if ascent_only.iterations <= spectral.SWITCH:
-        assert zeta_full(s, weights) == ascent_only
-    else:
-        assert zeta_full(s, weights).iterations < ascent_only.iterations
+        if plain.iterations <= spectral.SWITCH:
+            assert zeta_full(s, weights) == plain
+        else:
+            with pytest.raises(ZetaUnconverged) as caught:
+                zeta_full(s, weights)
+            assert caught.value.iterations == spectral.SWITCH and caught.value.gap >= 1e-6
