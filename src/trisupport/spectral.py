@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -68,86 +68,28 @@ class SpectralWeights:
         return (float(self.theta_a), float(self.theta_b), float(self.theta_c))
 
 
-@dataclass(frozen=True)
-class IncomprSet:
-    """Downward-closed set of flag index triples on which the restricted
-    tensor stays nonzero.  Index i on an axis means the first i basis vectors
-    are annihilated.  Any sequence of triples (or an n x 3 array) is accepted
-    and stored sorted, as tuples in `points` and as an array in `coords`."""
-
-    shape: Shape
-    points: tuple[Triple, ...]
-    coords: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        given = np.asarray(self.points, dtype=np.int64).reshape(-1, 3)
-        if ((given < 0) | (given >= tuple(self.shape))).any():
-            raise ValueError(f"point outside shape {tuple(self.shape)}")
-        grid = _grid(self.shape, given)
-        # a prefix AND along each axis keeps exactly the cells whose whole lower box is marked
-        closed = grid
-        for axis in range(3):
-            closed = np.logical_and.accumulate(closed, axis=axis)
-        if (closed != grid).any():
-            raise ValueError("incompressibility set must be downward closed")
-        coords = np.argwhere(grid)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "points", tuple(map(tuple, coords.tolist())))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def _grid(shape: Shape, coords: np.ndarray) -> np.ndarray:
-    """The boolean grid of the shape that marks the rows of an n x 3 array."""
-    grid = np.zeros(tuple(shape), dtype=bool)
-    grid[tuple(coords.T)] = True
-    return grid
-
-
-def incompr_set(s: Support) -> IncomprSet:
-    """All flag triples dominated by some support element.
+def incompr_set(s: Support) -> np.ndarray:
+    """All flag triples dominated by some support element, as the sorted
+    n x 3 array of their coordinates.  Index i on an axis means the first i
+    basis vectors are annihilated, so the set is downward closed.
 
     A suffix OR along each axis of the support's boolean grid marks every
     triple with a support element at or above it."""
-    grid = _grid(s.shape, np.array(s.triples, dtype=np.int64).reshape(-1, 3))
+    grid = np.zeros(tuple(s.shape), dtype=bool)
+    grid[tuple(np.array(s.triples, dtype=np.int64).reshape(-1, 3).T)] = True
     for axis in range(3):
         backwards = (slice(None),) * axis + (slice(None, None, -1),)
         grid = np.logical_or.accumulate(grid[backwards], axis=axis)[backwards]
-    return IncomprSet(s.shape, np.argwhere(grid))
+    return np.argwhere(grid)
 
 
 @dataclass(frozen=True)
 class SupportDistribution:
-    """Probability distribution on grid triples."""
+    """Probability distribution on grid triples: the positive entries of the
+    point `zeta_full` returns, keyed by their triples of the shape."""
 
     shape: Shape
     probs: dict[Triple, float]
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for t, p in self.probs.items():
-            if not self.shape.contains(t):
-                raise ValueError(f"point {t} outside shape {tuple(self.shape)}")
-            if p < 0:
-                raise ValueError("probabilities must be nonnegative")
-            total += p
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def marginal(self, axis: int) -> np.ndarray:
-        n = tuple(self.shape)[axis]
-        out = np.zeros(n)
-        for t, p in self.probs.items():
-            out[t[axis]] += p
-        return out
-
-
-def entropy(dist: SupportDistribution, axis: int) -> float:
-    """Base-2 Shannon entropy of the requested marginal, with 0 log 0 = 0."""
-    q = dist.marginal(axis)
-    mask = q > 0
-    return float(-(q[mask] * np.log2(q[mask])).sum())
 
 
 @dataclass(frozen=True)
@@ -182,15 +124,15 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
 
     Raises ZetaUnconverged when the finish fails or leaves its gap at or
     above 1e-6."""
-    phi = incompr_set(s)
-    if not phi.points:
+    coords = incompr_set(s)
+    if not len(coords):
         raise ValueError("empty support has no incompressibility set")
     theta = weights.as_floats()
-    n = len(phi)
+    n = len(coords)
     sizes = tuple(s.shape)
     # The a + b + c marginals are one vector, axis 0's values first, then
     # axis 1's and axis 2's; marg[d, x] is point x's row on axis d.
-    marg = (phi.coords + (0, sizes[0], sizes[0] + sizes[1])).T
+    marg = (coords + (0, sizes[0], sizes[0] + sizes[1])).T
     rows = marg.ravel()
     each_point = np.arange(3 * n) % n
     row_theta = np.repeat(theta, sizes)
@@ -203,9 +145,10 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         return logq, -float(np.dot(row_theta * q, logq))
 
     def gap_at(vec: np.ndarray, logq: np.ndarray) -> tuple[np.ndarray, float]:
-        """The gradient (up to a constant) and the Frank-Wolfe gap at vec."""
+        """The gradient (up to a constant) and the Frank-Wolfe gap at vec,
+        which is nonnegative (a rounding below 0 reads 0)."""
         g = -(row_theta * logq)[rows].reshape(3, n).sum(axis=0)
-        return g, float(g.max() - g @ vec)
+        return g, max(0.0, float(g.max() - g @ vec))
 
     p = np.full(n, 1.0 / n)
     logq, f = evaluate(p)
@@ -250,7 +193,9 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     cap = sum(th * math.log2(nn) for th, nn in zip(theta, sizes) if th > 0)
     if f > cap + 1e-9:
         raise AssertionError("internal: objective exceeded the entropy cap")
-    dist = SupportDistribution(s.shape, {t: v for t, v in zip(phi.points, p.tolist()) if v > 0})
+    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
+        raise AssertionError("internal: the returned point is not a distribution")
+    dist = SupportDistribution(s.shape, {t: v for t, v in zip(map(tuple, coords.tolist()), p.tolist()) if v > 0})
     return ZetaResult(
         value=float(2.0**f),
         log2_value=float(f),
@@ -361,7 +306,8 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
     below = [[[0] * c for _ in range(b)] for _ in range(a)]
     for n, (i, j, k) in enumerate(cells):
         below[i][j][k] = (1 << n) | (i and below[i - 1][j][k]) | (j and below[i][j - 1][k]) | (k and below[i][j][k - 1])
-    first: dict[int, AxisPermutations] = {}
+    # each closure's first-enumerated orders, as raw tuples: only an ascended class's are validated
+    first: dict[int, tuple[tuple[int, ...], ...]] = {}
     for oa, ob, oc in itertools.product(
         itertools.permutations(range(a)), itertools.permutations(range(b)), itertools.permutations(range(c))
     ):
@@ -369,7 +315,7 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
         for i, j, k in s.triples:
             closure |= below[oa[i]][ob[j]][oc[k]]
         if closure not in first:
-            first[closure] = AxisPermutations(oa, ob, oc)
+            first[closure] = (oa, ob, oc)
     # a closure with a proper subclosure contains a minimal one with fewer cells
     minimal: set[int] = set()
     for closure in sorted(first, key=int.bit_count):
@@ -381,13 +327,14 @@ def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinR
     classes: set[tuple[Triple, ...]] = set()
     best: Optional[ZetaResult] = None
     best_perms: Optional[AxisPermutations] = None
-    for closure, perms in first.items():
+    for closure, orders in first.items():
         if closure not in minimal:
             continue
         points = [t for n, t in enumerate(cells) if closure >> n & 1]
         key = min(tuple(sorted((t[g[0]], t[g[1]], t[g[2]]) for t in points)) for g in swaps)
         if key not in classes:
             classes.add(key)
+            perms = AxisPermutations(*orders)
             res = zeta_full(apply_permutations(s, perms), weights)
             if best is None or res.value < best.value - 1e-15:
                 best, best_perms = res, perms

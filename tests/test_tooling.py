@@ -2,9 +2,9 @@
 so a name it lists that the library no longer has breaks `--trace 1`, and it
 forwards only `(rows, ncols)` to the `linalg` functions it wraps; a
 library change that breaks one of the benchmark's answer checks fails its
-self-test; importing the package builds no census table; the README's CLI
-block shows every leaf command; and `certify` and the test oracles import
-nothing that they check."""
+self-test; importing the package builds no census table; every name in its
+`__all__` resolves; the README's CLI block shows every leaf command; and
+`certify` and the test oracles import nothing that they check."""
 
 import argparse
 import ast
@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import trisupport
 from trisupport.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +63,13 @@ def test_import_builds_no_census_table():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0 and done.stdout.split() == ["0"], done.stderr
+
+
+def test_every_exported_name_resolves():
+    # a stale name in __all__ would break `from trisupport import *`
+    assert len(set(trisupport.__all__)) == len(trisupport.__all__)
+    missing = [name for name in trisupport.__all__ if not hasattr(trisupport, name)]
+    assert not missing, missing
 
 
 def _leaf_commands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
