@@ -3,8 +3,10 @@
 The value is 2 to the maximum of a weighted sum of marginal Shannon entropies
 over probability distributions on the incompressibility set of the support.
 The maximization is a concave program over a simplex, solved by exponentiated
-gradient ascent with a monotonicity safeguard; a linearization gap certifies
-closeness to the optimum.  The ascent runs at most SWITCH steps; one still
+gradient ascent with a monotonicity safeguard, each step starting from the last
+accepted one; the linearization (Frank-Wolfe) gap, or the distance to the
+entropy cap over the rows the set reaches, certifies closeness to the
+optimum.  The ascent runs at most SWITCH steps; one still
 unconverged then, typically one whose optimum lies on the boundary of the
 simplex, ends with a log-barrier Newton finish whose linear systems live in
 the space of the a+b+c marginals.  The finish's point is the answer when its
@@ -35,7 +37,9 @@ from .core import AxisPermutations, Shape, Support, Triple, apply_permutations
 
 LOG_FLOOR = 1e-300
 # ascent steps zeta_full takes at most before the Newton finish
-SWITCH = 50
+SWITCH = 20
+# below this, the distance to the entropy cap replaces the Frank-Wolfe gap as the certificate
+CAP_TOL = 1e-8
 # Newton steps the finish takes at most
 NEWTON_STEPS = 200
 # largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
@@ -102,8 +106,8 @@ class ZetaResult:
 
 
 class ZetaUnconverged(RuntimeError):
-    """The Newton finish after SWITCH ascent steps failed or left its gap at
-    or above 1e-6; `gap` is the gap of the last point reached."""
+    """The Newton finish after SWITCH ascent steps failed or left its
+    certificate gap at or above 1e-6; `gap` is that of the last point reached."""
 
     def __init__(self, gap: float, iterations: int):
         super().__init__(f"gap {gap} after {iterations} iterations")
@@ -113,10 +117,13 @@ class ZetaUnconverged(RuntimeError):
 
 def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     """Maximize the weighted marginal entropy over distributions on the
-    incompressibility set and return 2**maximum with a certificate gap, the
-    Frank-Wolfe gap of the returned distribution itself.  From the uniform
-    point, the exponentiated-gradient ascent steps while that gap is at or
-    above 1e-6, for at most SWITCH steps; a set that is the whole grid is
+    incompressibility set and return 2**maximum with a certificate gap of the
+    returned distribution itself: its Frank-Wolfe gap, or its distance to the
+    entropy cap (the weighted log2 of the rows reached on each axis) when that
+    is below CAP_TOL and smaller.  From the uniform point, the
+    exponentiated-gradient ascent steps while that gap is at or above 1e-6,
+    each step starting at the larger of the base schedule and the last
+    accepted step, for at most SWITCH steps; a set that is the whole grid is
     optimal at the start and answers after none.  An ascent still unconverged
     then hands its iterate to `_newton_finish`, once, and the Newton point is
     the answer when its own gap is below 1e-6.  `iterations` counts the
@@ -136,6 +143,8 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     rows = marg.ravel()
     each_point = np.arange(3 * n) % n
     row_theta = np.repeat(theta, sizes)
+    # H(q_d) <= log2 of the rows reached on axis d; Phi is downward closed, so those are max + 1
+    cap = sum(th * math.log2(r) for th, r in zip(theta, (coords.max(axis=0) + 1).tolist()) if th > 0)
 
     def evaluate(vec: np.ndarray) -> tuple[np.ndarray, float]:
         """Logs of all marginals of vec (floored, so 0 log 0 = 0) and the
@@ -144,16 +153,18 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         logq = np.log2(np.maximum(q, LOG_FLOOR))
         return logq, -float(np.dot(row_theta * q, logq))
 
-    def gap_at(vec: np.ndarray, logq: np.ndarray) -> tuple[np.ndarray, float]:
-        """The gradient (up to a constant) and the Frank-Wolfe gap at vec,
-        which is nonnegative (a rounding below 0 reads 0)."""
+    def gap_at(vec: np.ndarray, logq: np.ndarray, f: float) -> tuple[np.ndarray, float]:
+        """The gradient (up to a constant) at vec and the certificate gap, which
+        is nonnegative (a rounding below 0 reads 0)."""
         g = -(row_theta * logq)[rows].reshape(3, n).sum(axis=0)
-        return g, max(0.0, float(g.max() - g @ vec))
+        fw = float(g.max() - g @ vec)
+        return g, max(0.0, min(fw, cap - f) if cap - f < CAP_TOL else fw)
 
     p = np.full(n, 1.0 / n)
     logq, f = evaluate(p)
-    g, gap = gap_at(p, logq)
+    g, gap = gap_at(p, logq, f)
     iterations = 0
+    step = 0.0
 
     def try_step(shifted: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         cand = p * np.exp(eta * shifted)
@@ -163,8 +174,8 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     # the gap that stops the ascent, and the one reported, is the current point's own
     while gap >= 1e-6 and iterations < SWITCH:
         shifted = g - g.max()
-        # base schedule, halved until monotone, then doubled while it helps
-        step = 1.0 / (1.0 + iterations / 100.0)
+        # the base schedule or the last accepted step, halved until monotone, then doubled while it helps
+        step = max(1.0 / (1.0 + iterations / 100.0), step)
         iterations += 1
         cand, cand_logq, f_new = try_step(shifted, step)
         while f_new < f - 1e-12 and step > 1e-12:
@@ -179,18 +190,17 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         if f_new < f - 1e-9:
             raise AssertionError("internal: ascent step decreased the objective")
         p, logq, f = cand, cand_logq, f_new
-        g, gap = gap_at(p, logq)
+        g, gap = gap_at(p, logq, f)
     if gap >= 1e-6:
         finish = _newton_finish(p, marg, row_theta)
         if finish is not None:
             p, newton_steps = finish
             iterations += newton_steps
             logq, f = evaluate(p)
-            gap = gap_at(p, logq)[1]
+            gap = gap_at(p, logq, f)[1]
         if finish is None or gap >= 1e-6:
             raise ZetaUnconverged(gap, iterations)
 
-    cap = sum(th * math.log2(nn) for th, nn in zip(theta, sizes) if th > 0)
     if f > cap + 1e-9:
         raise AssertionError("internal: objective exceeded the entropy cap")
     if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
@@ -283,7 +293,7 @@ class OrderMinResult:
     status: str  # "ok" or "unknown"
     value: Optional[float]
     permutations: Optional[AxisPermutations]
-    gap: Optional[float]  # the chosen class's ascent gap
+    gap: Optional[float]  # the chosen class's certificate gap (Frank-Wolfe or cap)
 
 
 def zeta_min_over_axis_orders(s: Support, weights: SpectralWeights) -> OrderMinResult:

@@ -466,7 +466,7 @@ def oracle_zeta_grid(
     return float(2.0**best_f)
 
 
-def oracle_zeta_certificate(
+def oracle_zeta_frank_wolfe(
     s: Support, theta: tuple[float, float, float], probs: dict[Triple, float]
 ) -> tuple[float, float]:
     """The weighted marginal entropy (base 2) of the distribution probs and
@@ -493,6 +493,20 @@ def oracle_zeta_certificate(
         return out
 
     return value, max(map(g, dominated)) - sum(p * g(t) for t, p in probs.items())
+
+
+def oracle_zeta_certificate(
+    s: Support, theta: tuple[float, float, float], probs: dict[Triple, float]
+) -> tuple[float, float]:
+    """The value of `oracle_zeta_frank_wolfe` and the certificate gap: the
+    distance cap - value when it is below 1e-8 and the Frank-Wolfe gap, else
+    the Frank-Wolfe gap, floored at 0.  The cap, which no distribution
+    exceeds, is the weighted sum of the base-2 logs of the numbers of values
+    the dominated triples take on each axis."""
+    value, frank_wolfe = oracle_zeta_frank_wolfe(s, theta, probs)
+    dominated = oracle_incompr_set(s)
+    cap = sum(th * math.log2(len({t[axis] for t in dominated})) for axis, th in enumerate(theta) if th > 0)
+    return value, max(0.0, min(frank_wolfe, cap - value) if cap - value < 1e-8 else frank_wolfe)
 
 
 def downward_closed_sets(max_size: int) -> list[tuple[Triple, ...]]:

@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import downward_closed_sets, oracle_incompr_set, oracle_zeta_certificate, oracle_zeta_grid
+from _oracles import (
+    downward_closed_sets,
+    oracle_incompr_set,
+    oracle_zeta_certificate,
+    oracle_zeta_frank_wolfe,
+    oracle_zeta_grid,
+)
 from trisupport import spectral
 from trisupport.cli import EXIT_UNKNOWN, main
 from trisupport.constructions import (
@@ -89,6 +95,19 @@ def test_zeta_gap_is_not_negative_where_rounding_gives_below_zero():
     res = zeta_full(s, UNIFORM)
     assert res.gap == 0.0 and res.iterations == 0
     assert abs(res.log2_value - math.log2(24) / 3) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [Shape(2, 2, 2), Shape(3, 3, 3), Shape(2, 3, 4)], ids=["2x2x2", "3x3x3", "2x3x4"])
+def test_zeta_stops_at_the_entropy_cap_over_the_rows_reached(shape):
+    # the optimum, log2 = 1, meets the cap over the two rows reached on each
+    # axis, whatever the shape; the distance to it is below 1e-8 after two
+    # steps, while the Frank-Wolfe gap is still above 1e-4
+    s = Support(shape, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    res = zeta_full(s, UNIFORM)
+    assert res.iterations <= 2 and res.gap == 1 - res.log2_value < 1e-8
+    value, frank_wolfe = oracle_zeta_frank_wolfe(s, UNIFORM.as_floats(), res.distribution.probs)
+    assert abs(value - res.log2_value) <= 1e-12 and frank_wolfe > 1e-4
+    assert abs(oracle_zeta_certificate(s, UNIFORM.as_floats(), res.distribution.probs)[1] - res.gap) <= 1e-12
 
 
 def test_zeta_two_point_value():
@@ -293,15 +312,18 @@ def test_zeta_full_raises_when_the_finish_is_refused(monkeypatch, tmp_path, caps
         assert caught.value.iterations == spectral.SWITCH + 1 and caught.value.gap >= 1e-6
 
 
-def test_zeta_full_keeps_a_certified_newton_point_with_a_lower_objective():
-    # the exponentiated-gradient ascent run on to 72 steps reaches this value
-    # and gap; the Newton point's objective is a little lower, but its own gap
-    # certifies it, so it is the answer
-    ascent_log2, ascent_gap = 1.5238799756484218, 5.493248378396487e-07
-    res = zeta_full(SLOW, UNIFORM)
-    assert spectral.SWITCH < res.iterations < 72 and res.gap < 1e-7
-    assert res.log2_value < ascent_log2
-    assert abs(res.log2_value - ascent_log2) <= res.gap + ascent_gap
+def test_zeta_full_keeps_a_certified_newton_point_with_a_lower_objective(monkeypatch):
+    # the exponentiated-gradient ascent run on until its own gap is below 1e-6
+    # takes about 160 steps; the Newton point's objective is about 5e-8 lower,
+    # but its own gap certifies it, so it is the answer
+    s = Support(Shape(3, 3, 3), ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 2, 0), (2, 1, 0)))
+    res = zeta_full(s, UNIFORM)
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "SWITCH", 10**6)
+        ascent = zeta_full(s, UNIFORM)
+    assert spectral.SWITCH < res.iterations < ascent.iterations and res.gap < 1e-7 and ascent.gap < 1e-6
+    assert res.log2_value < ascent.log2_value
+    assert abs(res.log2_value - ascent.log2_value) <= res.gap + ascent.gap
 
 
 def test_newton_finish_sweep_is_certified():

@@ -3,19 +3,22 @@ so a name it lists that the library no longer has breaks `--trace 1`, and it
 forwards only `(rows, ncols)` to the `linalg` functions it wraps; a
 library change that breaks one of the benchmark's answer checks fails its
 self-test; importing the package builds no census table; every name in its
-`__all__` resolves; the README's CLI block shows every leaf command; and
-`certify` and the test oracles import nothing that they check."""
+`__all__` resolves; the README's CLI block shows every leaf command; the
+README's `SWITCH` is the solver's; and `certify` and the test oracles import
+nothing that they check."""
 
 import argparse
 import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import trisupport
+from trisupport import spectral
 from trisupport.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +90,11 @@ def test_readme_cli_block_shows_every_leaf_command():
     assert ("decide", "free") in leaves and ("symmetry", "span-stabilizer") in leaves
     for leaf in leaves:
         assert any(tuple(words[: len(leaf)]) == leaf for words in shown), " ".join(leaf)
+
+
+def test_readme_states_the_solver_switch():
+    stated = re.findall(r"`SWITCH` = (\d+)", (ROOT / "README.md").read_text())
+    assert stated and all(int(value) == spectral.SWITCH for value in stated), stated
 
 
 def _imports(path: Path) -> list[str]:
