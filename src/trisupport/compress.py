@@ -84,6 +84,16 @@ def _first_subset(cands: list[int], w: int, acc, extend: Callable, finish: Calla
     return dfs(0, (), acc)
 
 
+def _cell_masks(s: Support, d0: int, d1: int) -> list[list[int]]:
+    """masks[v0][v1] is the bitmask of the third axis's values that a triple
+    joins to value v0 on axis d0 and value v1 on axis d1."""
+    dims, d2 = tuple(s.shape), 3 - d0 - d1
+    masks = [[0] * dims[d1] for _ in range(dims[d0])]
+    for t in s.triples:
+        masks[t[d0]][t[d1]] |= 1 << t[d2]
+    return masks
+
+
 def find_zero_box(s: Support, a1: int, b1: int, c1: int) -> Optional[ZeroBox]:
     """Exact search for index subsets I, J, K of the requested sizes with
     (I x J x K) disjoint from the support; None proves there are none.
@@ -118,9 +128,7 @@ def _box_finder(s: Support) -> Callable[[int, int, int], Optional[ZeroBox]]:
         w0, w1, w2 = targets[d0], targets[d1], targets[d2]
         masks = tables.get((d0, d1))
         if masks is None:
-            masks = tables[d0, d1] = [[0] * dims[d1] for _ in range(dims[d0])]
-            for v0, v1, v2 in zip(cols[d0], cols[d1], cols[d2]):
-                masks[v0][v1] |= 1 << v2
+            masks = tables[d0, d1] = _cell_masks(s, d0, d1)
 
         def second_axis(picked0: tuple[int, ...], blocked: tuple[int, ...]):
             def extend(used: int, v1: int) -> Optional[int]:
@@ -171,12 +179,7 @@ def total_compressibility(s: Support) -> tuple[int, ZeroBox]:
 def _pair_masks(s: Support) -> list[list[list[int]]]:
     """tables[d][u][v] is the bitmask of the axis-d values that share a triple
     with value u on axis d + 1 and value v on axis d + 2 (axes mod 3)."""
-    dims = tuple(s.shape)
-    tables = [[[0] * dims[(d + 2) % 3] for _ in range(dims[(d + 1) % 3])] for d in range(3)]
-    for t in s.triples:
-        for d in range(3):
-            tables[d][t[(d + 1) % 3]][t[(d + 2) % 3]] |= 1 << t[d]
-    return tables
+    return [_cell_masks(s, (d + 1) % 3, (d + 2) % 3) for d in range(3)]
 
 
 def _blocked(tables: list[list[list[int]]], sets: list[tuple[int, ...]], d: int) -> int:
@@ -250,10 +253,7 @@ def _multicompressibility_table(s: Support) -> int:
     d0, d1, d2 = sorted(range(3), key=lambda d: (dims[d], d))
     n0, n1, n2 = dims[d0], dims[d1], dims[d2]
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= n2)
-    masks = [[0] * n1 for _ in range(n0)]
-    for t in s.triples:
-        masks[t[d0]][t[d1]] |= 1 << t[d2]
-    cells = np.array(masks, dtype)
+    cells = np.array(_cell_masks(s, d0, d1), dtype)
     rows = np.zeros((1 << n0, n1), dtype)
     for v in range(n0):
         rows[1 << v : 2 << v] = rows[: 1 << v] | cells[v]

@@ -104,11 +104,6 @@ class Tensor:
             return Tensor(self.shape, {})
         return Tensor(self.shape, {t: v * factor for t, v in self.entries.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
 
 def _check_permutation(p: tuple[int, ...]) -> None:
     if sorted(p) != list(range(len(p))):

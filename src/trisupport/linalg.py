@@ -16,40 +16,31 @@ which rows are dependent, or on any elimination heuristic.
 
 `nullspace` is a certified modular solver:
 
-1. Run `_kernel` mod a fixed 127-bit prime p on every row.  The rows it
-   keeps are independent mod p, so independent over Q, and span the rest mod
-   p.  One prime reconstructs entries whose numerator and denominator fit in
-   63 bits, so most systems need no second one.
-2. Run each later prime on the kept rows only.  A prime whose free set
-   differs from the first one's is unlucky: `nullspace` falls back to
-   `Echelon`.
-3. Each candidate vector stays sparse, as its nonzero residues: the CRT
-   combines only the union of two primes' supports, and the entries are
-   rationally reconstructed (Wang 1981) in ascending column order.  A vector
-   is accepted once it satisfies every input row exactly (A v = 0), dependent
-   rows included, and only then becomes a dense Fraction list; the others
-   wait for the next prime.
-4. The rank of all rows mod p is the number of kept rows, which is at most
-   the rank over Q.  So ncols - rank_p accepted vectors, independent because
-   they are the identity on the free set, leave no room for more: they are a
-   rational kernel basis.  Each is zero off its free column and the columns
-   after it, so every free column lies in the span of the columns after it
-   over Q, and the free set and the basis are the canonical ones.
+1. Run `_kernel` mod the prime `PRIME` = 2^127 - 1 on every row.  The rank
+   mod p, the number of rows it keeps, is at most the rank over Q.
+2. Each basis vector stays sparse, as its nonzero residues, and its entries
+   are rationally reconstructed (Wang 1981) in ascending column order; one
+   127-bit prime reconstructs entries whose numerator and denominator fit in
+   63 bits.  A vector is accepted only if it satisfies every input row
+   exactly (A v = 0), and only then becomes a dense Fraction list.
+3. So ncols - rank_p accepted vectors, independent because they are the
+   identity on the free set, leave no room for more: they are a rational
+   kernel basis.  Each is zero off its free column and the columns after it,
+   so every free column lies in the span of the columns after it over Q, and
+   the free set and the basis are the canonical ones.
 
-So the result equals `Echelon(rows, ncols).nullspace()` by construction.  A
-row subset is all the certificate needs, because acceptance is checked
-against all rows.  If the first prime drops the rank, the kept rows' kernel
-is larger than A's, its vectors never verify, and the fixed primes run out:
-`nullspace` falls back to `Echelon` then too.
+So the result equals `Echelon(rows, ncols).nullspace()` by construction.  If
+any vector fails to reconstruct or to verify (the prime drops the rank or
+moves a pivot, or an entry is too wide), `nullspace` falls back to `Echelon`.
 
 Mod p, `_kernel` keeps a value as computed while it lies in (-p, p), reduces
 it with % p only outside, and takes the pivot inverse in (-p/2, p/2]: on a 0/1
 incidence system a -1 stays -1, not the 127-bit p - 1.  Its basis is returned
-in [0, p), as the CRT and the reconstruction read it.  `Echelon` is the same
-loop with p = 0, fraction-free: v <- pv v - w pvec, followed by a gcd strip,
-so every vector stays the primitive integer vector on its ray and no rounding
-can ever occur.  It serves the fallback, and `rank` counts the rows it keeps
-on the system or its transpose.
+in [0, p), as the reconstruction reads it.  `Echelon` is the same loop with
+p = 0, fraction-free: v <- pv v - w pvec, followed by a gcd strip, so every
+vector stays the primitive integer vector on its ray and no rounding can ever
+occur.  It serves the fallback, and `rank` counts the rows it keeps on the
+system or its transpose.
 """
 
 from __future__ import annotations
@@ -61,9 +52,9 @@ from typing import Iterable, Optional, Sequence
 
 SparseRow = dict[int, int]
 
-# the four largest primes below 2^127; one reconstructs entries whose numerator
-# and denominator have up to 63 bits, all four together up to about 250
-PRIMES = (2**127 - 1, 2**127 - 25, 2**127 - 39, 2**127 - 295)
+# a Mersenne prime; it reconstructs entries whose numerator and denominator
+# have up to 63 bits
+PRIME = 2**127 - 1
 _ZERO = Fraction(0)
 
 
@@ -140,15 +131,11 @@ def _kernel(rows: Sequence[SparseRow], ncols: int, p: int = 0) -> tuple[list[int
 
 
 class Echelon:
-    """The exact kernel of a row system over Z, with its rank."""
+    """The exact kernel of a row system over Z."""
 
     def __init__(self, rows: Iterable[SparseRow], ncols: int):
         self.ncols = ncols
         self.basis = _kernel(list(rows), ncols)[1]
-
-    @property
-    def rank(self) -> int:
-        return self.ncols - len(self.basis)
 
     def nullspace(self) -> list[list[Fraction]]:
         """One exact basis vector per free column, in ascending column order."""
@@ -188,24 +175,24 @@ def _rational(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _reconstruct(residues: SparseRow, m: int) -> Optional[tuple[SparseRow, int]]:
-    """A rational candidate for one vector from its nonzero residues, as
-    integers over one common denominator.  The entries share denominators, so
-    each residue, in ascending column order, is first tried against the lcm
-    of those found so far."""
-    half = m >> 1
+def _reconstruct(residues: SparseRow) -> Optional[tuple[SparseRow, int]]:
+    """A rational candidate for one vector from its nonzero residues mod
+    `PRIME`, as integers over one common denominator.  The entries share
+    denominators, so each residue, in ascending column order, is first tried
+    against the lcm of those found so far."""
+    half = PRIME >> 1
     bound = isqrt(half)
     den = 1
     out: SparseRow = {}
     for c in sorted(residues):
         u = residues[c]
-        t = u * den % m
+        t = u * den % PRIME
         if t > half:
-            t -= m
+            t -= PRIME
         if -bound <= t <= bound:
             out[c] = t
             continue
-        q = _rational(u, m, bound)
+        q = _rational(u, PRIME, bound)
         if q is None:
             return None
         n, d = q
@@ -229,49 +216,25 @@ def _annihilates(cols: list[list[tuple[int, int]]], nrows: int, vec: SparseRow) 
 
 def modular_nullspace(rows: Iterable[SparseRow], ncols: int) -> Optional[list[list[Fraction]]]:
     """The certified modular kernel basis, one vector per free column in
-    ascending column order, or None when `PRIMES` cannot certify it (an
-    unlucky prime, or entries too large for the fixed primes)."""
+    ascending column order, or None when one pass mod `PRIME` cannot certify
+    it (a prime that drops the rank or moves a pivot, or entries too wide)."""
     rows = list(rows)
-    system = rows
-    cols: Optional[list[list[tuple[int, int]]]] = None
-    free: Optional[list[int]] = None
-    residues: dict[int, SparseRow] = {}
-    done: dict[int, list[Fraction]] = {}
-    m = 1
-    for p in PRIMES:
-        kept, basis = _kernel(system, ncols, p)
-        if free is None:
-            free = list(basis)
-            system = [system[i] for i in kept]
-            residues = basis
-        elif list(basis) != free:
+    basis = _kernel(rows, ncols, PRIME)[1]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for c, v in r.items():
+            cols[c].append((i, v))
+    out = []
+    for residues in basis.values():
+        cand = _reconstruct(residues)
+        if cand is None or not _annihilates(cols, len(rows), cand[0]):
             return None
-        else:
-            inv = pow(m, -1, p)
-            for f, acc in residues.items():
-                vec = basis[f]
-                for c in acc.keys() | vec.keys():
-                    a, b = acc.get(c, 0), vec.get(c, 0)
-                    if a != b:
-                        acc[c] = a + m * ((b - a) * inv % p)
-        m *= p
-        if cols is None:
-            cols = [[] for _ in range(ncols)]
-            for i, r in enumerate(rows):
-                for c, v in r.items():
-                    cols[c].append((i, v))
-        for f in list(residues):
-            cand = _reconstruct(residues[f], m)
-            if cand is not None and _annihilates(cols, len(rows), cand[0]):
-                ints, den = cand
-                vec = [_ZERO] * ncols
-                for c, x in ints.items():
-                    vec[c] = Fraction(x, den) if den > 1 else Fraction(x)  # Fraction(x) skips the gcd
-                done[f] = vec
-                del residues[f]
-        if not residues:
-            return [done[f] for f in free]
-    return None
+        ints, den = cand
+        vec = [_ZERO] * ncols
+        for c, x in ints.items():
+            vec[c] = Fraction(x, den) if den > 1 else Fraction(x)  # Fraction(x) skips the gcd
+        out.append(vec)
+    return out
 
 
 def nullspace(rows: Iterable[SparseRow], ncols: int) -> list[list[Fraction]]:

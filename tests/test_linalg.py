@@ -15,7 +15,7 @@ from trisupport.constructions import (
 )
 from trisupport.core import Shape, direct_sum, kronecker
 from trisupport.deciders import decide_tight
-from trisupport.linalg import PRIMES, Echelon, modular_nullspace, nullspace
+from trisupport.linalg import PRIME, Echelon, modular_nullspace, nullspace
 from trisupport.sampling import generic_tensor_on, random_concise_tensor, random_support
 from trisupport.symmetry import LieElement, _action_rows, annihilator, lie_apply, tensor_flattening_rows
 
@@ -66,126 +66,125 @@ def test_integerize():
     assert linalg.integerize([]) == []
 
 
-def test_random_systems_match_echelon():
+def _count_kernel_calls(monkeypatch):
+    """The (p, number of rows) of every `_kernel` call from here on."""
+    calls = []
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, p=0: calls.append((p, len(rows))) or kernel(rows, ncols, p))
+    return calls
+
+
+def test_random_systems_match_echelon(monkeypatch):
+    # every modular_nullspace is one pass mod PRIME on all rows; the 8 systems
+    # it cannot certify have kernel entries wider than 63 bits, and Echelon
+    # answers them
     rng = random.Random(31)
+    calls = _count_kernel_calls(monkeypatch)
+    certified = 0
     for _ in range(200):
         ncols = rng.randint(1, 14)
         rows = _random_system(rng, rng.randint(0, 14), ncols, rng.choice((1, 9, 1000)))
+        calls.clear()
         basis = modular_nullspace(rows, ncols)
-        assert basis is not None
-        assert basis == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
-        assert nullspace(rows, ncols) == basis
-        _assert_certified(rows, ncols, basis)
+        assert calls == [(PRIME, len(rows))]
+        want = nullspace(rows, ncols)
+        assert want == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
+        if basis is not None:
+            assert basis == want
+            certified += 1
+        else:
+            assert _max_bits(want) > 63
+        _assert_certified(rows, ncols, want)
+    assert certified == 192
 
 
 def test_large_kernel_entries_need_several_primes():
+    # one 127-bit prime reconstructs only numerators and denominators below
+    # 2^63; every kernel here has wider entries, so Echelon answers
     rng = random.Random(32)
-    widest = 0
     for _ in range(10):
         ncols = rng.randint(5, 7)
         rows = [{c: rng.randint(-(2**30), 2**30) for c in range(ncols)} for _ in range(ncols - 2)]
-        basis = modular_nullspace(rows, ncols)
-        assert basis is not None
-        assert basis == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
-        _assert_certified(rows, ncols, basis)
-        widest = max(widest, _max_bits(basis))
-    # one 127-bit prime reconstructs only numerators and denominators below
-    # 2^63; entries this wide take at least two
-    assert widest > 90
+        want = nullspace(rows, ncols)
+        assert want == oracle_kernel_basis(rows, ncols)[1] == Echelon(rows, ncols).nullspace()
+        _assert_certified(rows, ncols, want)
+        assert _max_bits(want) > 63 and modular_nullspace(rows, ncols) is None
 
 
-def _is_probable_prime(n):
-    """Miller-Rabin with the first twelve primes as fixed bases; at this size
-    a strong check, not a proof."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _lucas_lehmer(q):
+    """Whether 2^q - 1 is prime, for an odd prime q (Lucas-Lehmer): s_0 = 4,
+    s_{i+1} = s_i^2 - 2, and 2^q - 1 is prime iff it divides s_{q-2}."""
+    m, x = 2**q - 1, 4
+    for _ in range(q - 2):
+        x = (x * x - 2) % m
+    return x == 0
 
 
-def test_primes_are_the_four_largest_below_2_127():
-    assert len(set(PRIMES)) == 4
-    assert all(2**126 < p < 2**127 and _is_probable_prime(p) for p in PRIMES)
-    assert [n for n in range(min(PRIMES), 2**127) if _is_probable_prime(n)] == sorted(PRIMES)
+def test_prime_is_the_mersenne_prime_2_127_minus_1():
+    assert PRIME == 2**127 - 1 and _lucas_lehmer(127)
+    # the residue test also runs mod 2^61 - 1; 2^11 - 1 = 23 * 89 is refused
+    assert _lucas_lehmer(61) and not _lucas_lehmer(11)
 
 
 @pytest.mark.parametrize(
-    "a, b, passes",
-    [
-        (2**63 - 1, 2**63 - 2, 1),
-        (-(2**62 + 1), 3, 1),
-        (2**63, 2**63 + 1, 2),
-        (2**126 - 1, 2**126 - 3, 2),
-    ],
+    "a, b",
+    [(2**63 - 1, 2**63 - 2), (-(2**62 + 1), 3), (2**63, 2**63 + 1), (2**126 - 1, 2**126 - 3)],
     ids=["63-bit", "63-bit-over-3", "64-bit", "126-bit"],
 )
-def test_one_prime_reconstructs_entries_below_2_63(monkeypatch, a, b, passes):
+def test_one_prime_reconstructs_entries_below_2_63(monkeypatch, a, b):
     # the kernel vector of a x0 - b x1 = 0 is (1, a/b); one 127-bit prime
-    # reconstructs numerators and denominators below 2^63, two below 2^126
+    # reconstructs numerators and denominators below 2^63, and wider ones
+    # fall back to Echelon
     rows = [{0: a, 1: -b}]
-    primes_used = []
-    kernel = linalg._kernel
-    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, q=0: primes_used.append(q) or kernel(rows, ncols, q))
-    assert modular_nullspace(rows, 2) == [[Fraction(1), Fraction(a, b)]]
-    assert primes_used == list(PRIMES[:passes])
+    want = [[Fraction(1), Fraction(a, b)]]
+    calls = _count_kernel_calls(monkeypatch)
+    basis = modular_nullspace(rows, 2)
+    assert calls == [(PRIME, 1)]
+    if max(abs(a), abs(b)).bit_length() <= 63:
+        assert basis == want
+    else:
+        assert basis is None
+        assert nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want
 
 
 def test_prime_dividing_the_pivot_falls_back(monkeypatch):
-    # over Q column 0 lies in the span of column 1 and is free; mod PRIMES[0]
-    # the entry p that decides the pivot vanishes, so column 1 is free instead
-    p = PRIMES[0]
+    # over Q column 0 lies in the span of column 1 and is free; mod PRIME the
+    # entry p that decides the pivot vanishes, so column 1 is free instead and
+    # its vector fails the check against the input row
+    p = PRIME
     rows = [{0: 1, 1: p}]
-    primes_used = []
-    kernel = linalg._kernel
-    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, q=0: primes_used.append(q) or kernel(rows, ncols, q))
-    assert modular_nullspace(rows, 2) is None
-    # the second prime's free set differs, so the remaining primes are not tried
-    assert primes_used == list(PRIMES[:2])
+    calls = _count_kernel_calls(monkeypatch)
     want = oracle_kernel_basis(rows, 2)
     assert want == ([0], [[Fraction(1), Fraction(-1, p)]])
-    assert nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want[1]
+    assert nullspace(rows, 2) == want[1]
+    assert calls == [(p, 1), (0, 1)]
+    assert Echelon(rows, 2).nullspace() == want[1]
 
 
 def test_prime_dividing_an_entry_but_not_a_pivot():
     # p divides the entry of column 0, but the pivot is column 1 over Q and
-    # mod PRIMES[0] alike, so the free set is unchanged and the residues stay
-    # correct; the kernel entry -p needs more primes before it reconstructs
-    p = PRIMES[0]
+    # mod PRIME alike, so the free set is unchanged; the kernel entry -p is
+    # 0 mod p, so the vector fails the check and Echelon answers
+    p = PRIME
     rows = [{0: p, 1: 1}]
     want = oracle_kernel_basis(rows, 2)
     assert want == ([0], [[Fraction(1), Fraction(-p)]])
-    assert modular_nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want[1]
+    assert modular_nullspace(rows, 2) is None
+    assert nullspace(rows, 2) == Echelon(rows, 2).nullspace() == want[1]
 
 
 def test_prime_dropping_the_rank_falls_back(monkeypatch):
-    # mod PRIMES[0] the only row vanishes, so no row is kept and every later
-    # prime sees the same two free columns; only the check against all input
-    # rows refuses their vectors, until the primes run out
-    p = PRIMES[0]
+    # mod PRIME the only row vanishes, so no row is kept and both columns are
+    # free; only the check against the input row refuses their vectors
+    p = PRIME
     rows = [{0: p, 1: 2 * p}]
-    seen = []
-    kernel = linalg._kernel
-    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, q=0: seen.append((q, len(rows))) or kernel(rows, ncols, q))
-    assert modular_nullspace(rows, 2) is None
-    assert seen == [(PRIMES[0], 1)] + [(q, 0) for q in PRIMES[1:]]
+    calls = _count_kernel_calls(monkeypatch)
     assert nullspace(rows, 2) == oracle_kernel_basis(rows, 2)[1] == [[Fraction(1), Fraction(-1, 2)]]
+    assert calls == [(p, 1), (0, 1)]
 
 
 def test_entries_beyond_the_fixed_primes_fall_back():
-    a, b = 3**200, 2**300 + 1  # coprime, each well over 240 bits
+    a, b = 3**200, 2**300 + 1  # coprime, each well over 63 bits
     rows = [{0: a, 1: -b}]
     assert modular_nullspace(rows, 2) is None
     want = oracle_kernel_basis(rows, 2)[1]
@@ -229,10 +228,10 @@ def _residue_systems():
 
 def test_kernel_mod_p_returns_residues_in_range():
     # `_kernel` keeps signed values while it eliminates; the basis it returns
-    # is the oracle's, reduced into [0, p)
+    # is the oracle's, reduced into [0, p); PRIME runs last, for the width check
     kinds = set()
     for kind, rows, ncols in _residue_systems():
-        for p in PRIMES[:2]:
+        for p in (2**61 - 1, PRIME):
             free, oracle = oracle_kernel_basis(rows, ncols)
             want = {
                 f: {c: v.numerator * pow(v.denominator, -1, p) % p for c, v in enumerate(vec) if v}

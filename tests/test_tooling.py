@@ -4,8 +4,9 @@ forwards only `(rows, ncols)` to the `linalg` functions it wraps; a
 library change that breaks one of the benchmark's answer checks fails its
 self-test; importing the package builds no census table; every name in its
 `__all__` resolves; the README's CLI block shows every leaf command; the
-README's `SWITCH` is the solver's; and `certify` and the test oracles import
-nothing that they check."""
+values the README quotes for `SWITCH`, `CAP_TOL`, `TABLE_MAX_BITS` and `PRIME`
+are the library's; and `certify` and the test oracles import nothing that
+they check."""
 
 import argparse
 import ast
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 import trisupport
-from trisupport import spectral
+from trisupport import compress, linalg, spectral
 from trisupport.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +96,17 @@ def test_readme_cli_block_shows_every_leaf_command():
 def test_readme_states_the_solver_switch():
     stated = re.findall(r"`SWITCH` = (\d+)", (ROOT / "README.md").read_text())
     assert stated and all(int(value) == spectral.SWITCH for value in stated), stated
+
+
+def test_readme_states_the_library_constants():
+    readme = (ROOT / "README.md").read_text()
+    quoted = [
+        (spectral.CAP_TOL, [float(v) for v in re.findall(r"`CAP_TOL` = ([\d.e-]+)", readme)]),
+        (compress.TABLE_MAX_BITS, [int(v) for v in re.findall(r"`TABLE_MAX_BITS` = (\d+)", readme)]),
+        (linalg.PRIME, [2 ** int(e) - int(d) for e, d in re.findall(r"`PRIME` = 2\^(\d+) − (\d+)", readme)]),
+    ]
+    for value, stated in quoted:
+        assert stated and all(v == value for v in stated), (value, stated)
 
 
 def _imports(path: Path) -> list[str]:
