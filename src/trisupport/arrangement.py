@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from pathlib import Path
 from typing import Optional, Union
 
@@ -37,9 +38,9 @@ class Arrangement:
     zs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xs", tuple(int(v) for v in self.xs))
-        object.__setattr__(self, "ys", tuple(int(v) for v in self.ys))
-        object.__setattr__(self, "zs", tuple(int(v) for v in self.zs))
+        object.__setattr__(self, "xs", tuple(map(index, self.xs)))
+        object.__setattr__(self, "ys", tuple(map(index, self.ys)))
+        object.__setattr__(self, "zs", tuple(map(index, self.zs)))
         for name, vals in (("x", self.xs), ("y", self.ys), ("z", self.zs)):
             if not vals:
                 raise ValueError(f"{name}-direction needs at least one line")

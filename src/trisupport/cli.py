@@ -507,16 +507,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     code = EXIT_OK
     try:
         digests = _input_digests(args)
-        result = args.handler(args)
-    except ReportedExit as exc:
-        result, code = exc.payload, exc.code
+        try:
+            result = args.handler(args)
+        except ReportedExit as exc:
+            result, code = exc.payload, exc.code
+        file_payload = result.pop("_file_payload", result)
+        # written before the report, so an unwritable path prints no report
+        if args.out:
+            Path(args.out).write_text(json.dumps(file_payload, indent=2) + "\n")
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    file_payload = result.pop("_file_payload", result)
     report = {
         "command": argv,
         "inputs": digests,
@@ -525,10 +529,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "elapsed_s": round(time.time() - started, 6),
         "version": __version__,
     }
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(json.dumps(file_payload, indent=2) + "\n")
+    print(json.dumps(report, indent=2))
     return code
 
 

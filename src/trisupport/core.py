@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import Mapping, Optional
 
 Triple = tuple[int, int, int]
@@ -53,7 +54,7 @@ class Support:
     triples: tuple[Triple, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted({(int(i), int(j), int(k)) for (i, j, k) in self.triples}))
+        canon = tuple(sorted({(index(i), index(j), index(k)) for (i, j, k) in self.triples}))
         for t in canon:
             if not self.shape.contains(t):
                 raise ShapeError(f"triple {t} out of range for shape {tuple(self.shape)}")
@@ -83,7 +84,7 @@ class Tensor:
     def __post_init__(self) -> None:
         clean: dict[Triple, Fraction] = {}
         for t, v in self.entries.items():
-            t = (int(t[0]), int(t[1]), int(t[2]))
+            t = (index(t[0]), index(t[1]), index(t[2]))
             if not self.shape.contains(t):
                 raise ShapeError(f"entry {t} out of range for shape {tuple(self.shape)}")
             if not isinstance(v, Fraction):
@@ -119,9 +120,9 @@ class AxisPermutations:
     on_c: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "on_a", tuple(int(x) for x in self.on_a))
-        object.__setattr__(self, "on_b", tuple(int(x) for x in self.on_b))
-        object.__setattr__(self, "on_c", tuple(int(x) for x in self.on_c))
+        object.__setattr__(self, "on_a", tuple(map(index, self.on_a)))
+        object.__setattr__(self, "on_b", tuple(map(index, self.on_b)))
+        object.__setattr__(self, "on_c", tuple(map(index, self.on_c)))
         for p in (self.on_a, self.on_b, self.on_c):
             _check_permutation(p)
 

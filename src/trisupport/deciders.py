@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import le
+from operator import index, le
 from typing import Literal, Optional, Sequence
 
 from . import linalg
@@ -43,9 +43,9 @@ class TightWitness:
     tau_c: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau_a", tuple(int(x) for x in self.tau_a))
-        object.__setattr__(self, "tau_b", tuple(int(x) for x in self.tau_b))
-        object.__setattr__(self, "tau_c", tuple(int(x) for x in self.tau_c))
+        object.__setattr__(self, "tau_a", tuple(map(index, self.tau_a)))
+        object.__setattr__(self, "tau_b", tuple(map(index, self.tau_b)))
+        object.__setattr__(self, "tau_c", tuple(map(index, self.tau_c)))
 
     def is_injective(self) -> bool:
         return all(

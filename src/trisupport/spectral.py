@@ -9,10 +9,10 @@ entropy cap over the rows the set reaches, certifies closeness to the
 optimum.  The ascent runs at most SWITCH steps; one still
 unconverged then, typically one whose optimum lies on the boundary of the
 simplex, ends with a log-barrier Newton finish whose linear systems live in
-the space of the a+b+c marginals.  The finish's point is the answer when its
-own gap is below 1e-6; otherwise the value is reported unknown
-(ZetaUnconverged).  Everything combinatorial stays exact; floats enter only
-here.
+the space of the a+b+c marginals, which stops once the same certificate gap
+is below 1e-7.  Its point is the answer when that gap is below 1e-6;
+otherwise the value is reported unknown (ZetaUnconverged).  Everything
+combinatorial stays exact; floats enter only here.
 
 Values are coordinate-flag evaluations: the outer flag minimization is
 restricted to coordinate flags induced by axis reorderings, so minimized
@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -125,9 +125,9 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     each step starting at the larger of the base schedule and the last
     accepted step, for at most SWITCH steps; a set that is the whole grid is
     optimal at the start and answers after none.  An ascent still unconverged
-    then hands its iterate to `_newton_finish`, once, and the Newton point is
-    the answer when its own gap is below 1e-6.  `iterations` counts the
-    ascent steps plus the Newton steps.
+    then hands its iterate to `_newton_finish`, once, which stops on the same
+    gap below 1e-7, and the Newton point is the answer when that gap is below
+    1e-6.  `iterations` counts the ascent steps plus the Newton steps.
 
     Raises ZetaUnconverged when the finish fails or leaves its gap at or
     above 1e-6."""
@@ -192,12 +192,10 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         p, logq, f = cand, cand_logq, f_new
         g, gap = gap_at(p, logq, f)
     if gap >= 1e-6:
-        finish = _newton_finish(p, marg, row_theta)
+        finish = _newton_finish(p, evaluate, gap_at, marg, row_theta)
         if finish is not None:
-            p, newton_steps = finish
+            p, f, gap, newton_steps = finish
             iterations += newton_steps
-            logq, f = evaluate(p)
-            gap = gap_at(p, logq, f)[1]
         if finish is None or gap >= 1e-6:
             raise ZetaUnconverged(gap, iterations)
 
@@ -215,21 +213,25 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     )
 
 
-def _newton_finish(p: np.ndarray, marg: np.ndarray, row_theta: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+def _newton_finish(
+    p: np.ndarray, evaluate: Callable, gap_at: Callable, marg: np.ndarray, row_theta: np.ndarray
+) -> Optional[tuple[np.ndarray, float, float, int]]:
     """Primal log-barrier Newton method for the same maximum, started from
-    the ascent's iterate p with its entries floored at 1e-12.
+    the ascent's iterate p with its entries floored at 1e-12.  Each point's
+    marginals, objective f, gradient g and certificate gap come from
+    `zeta_full`'s own `evaluate` and `gap_at`.
 
     It maximizes f(p) + mu * sum(ln p) over the simplex, from mu = gap / n,
     dividing mu by 10 (down to 1e-16) each time the Newton decrement is
-    small, and stops once the Frank-Wolfe gap max g - g.p is below 1e-7 or
-    after NEWTON_STEPS steps.  An Armijo line search keeps 0.99 of the
-    distance to the boundary.  The Hessian of f is -B^T W B, with B the 0/1
-    incidence of points (columns) and marginal rows, and W = theta_r / (q_r
-    ln 2) on the rows with positive weight; so each step solves
+    small, and stops once the certificate gap the answer reports is below
+    1e-7 or after NEWTON_STEPS steps.  An Armijo line search keeps 0.99 of
+    the distance to the boundary.  The Hessian of f is -B^T W B, with B the
+    0/1 incidence of points (columns) and marginal rows, and W = theta_r /
+    (q_r ln 2) on the rows with positive weight; so each step solves
     (D + B^T W B) z = R by Woodbury through a system of one equation per
     such row, refined once by the matrix-free product, and never forms an
-    n x n matrix.  Returns the point and the number of Newton steps, or None
-    on a singular solve or a non-finite value."""
+    n x n matrix.  Returns the point, its objective, its gap and the number
+    of Newton steps, or None on a singular solve or a non-finite value."""
     n = len(p)
     incidence = np.zeros((len(row_theta), n))
     incidence[marg, np.arange(n)] = 1.0
@@ -240,21 +242,20 @@ def _newton_finish(p: np.ndarray, marg: np.ndarray, row_theta: np.ndarray) -> Op
     mu = 0.0
 
     def barrier(x: np.ndarray) -> float:
-        q = B @ x
-        return float(-(theta * q) @ np.log2(q) + mu * np.log(x).sum())
+        return evaluate(x)[1] + mu * float(np.log(x).sum())
 
-    for step in range(NEWTON_STEPS):
-        q = B @ p
-        g = -(theta * np.log2(q)) @ B
-        gap = float(g.max() - g @ p)
-        if not math.isfinite(gap):
+    for step in range(NEWTON_STEPS + 1):
+        logq, f = evaluate(p)
+        # gap_at would read a NaN objective as gap 0
+        if not math.isfinite(f):
             return None
-        if gap < 1e-7:
-            return p, step
+        g, gap = gap_at(p, logq, f)
+        if gap < 1e-7 or step == NEWTON_STEPS:
+            return p, f, gap, step
         mu = mu or gap / n
         # M = D + B^T W B, the negated Hessian of the barrier objective
         d = mu / p**2
-        w = theta / (q * math.log(2.0))
+        w = theta / (np.exp2(logq[keep]) * math.log(2.0))
         rhs = np.stack([g + mu / p, np.ones(n)], axis=1)
         schur = np.diag(1.0 / w) + (B / d) @ B.T
 
@@ -281,7 +282,6 @@ def _newton_finish(p: np.ndarray, marg: np.ndarray, row_theta: np.ndarray) -> Op
         # centred enough once the decrement is below the barrier's own gap n mu
         if decrement < n * mu:
             mu = max(mu / 10.0, 1e-16)
-    return p, NEWTON_STEPS
 
 
 def zeta(s: Support, weights: SpectralWeights) -> float:

@@ -52,34 +52,16 @@ def _integer_entries(t: Tensor) -> tuple[dict[Triple, int], int]:
 
 
 def lie_apply(elem: LieElement, t: Tensor) -> Tensor:
-    """Leibniz action: sum of the three one-factor actions on every entry."""
-    # integers throughout: the matrices are scaled by their common denominator
-    # dm and the tensor by dt.  cx[u] lists the nonzero (v, dm * x[v][u]) of
-    # column u of x, and likewise cy and cz, so zero entries cost nothing.
-    mats = elem.matrices()
-    dm = lcm(*(v.denominator for m in mats for row in m for v in row))
-    entries, dt = _integer_entries(t)
-    cx, cy, cz = (
-        [
-            [(v, m[v][u].numerator * (dm // m[v][u].denominator)) for v in range(len(m)) if m[v][u]]
-            for u in range(len(m))
-        ]
-        for m in mats
-    )
-    out: dict[Triple, int] = {}
-    get = out.get
-    for (i, j, k), n in entries.items():
-        for i2, w in cx[i]:
-            key = (i2, j, k)
-            out[key] = get(key, 0) + w * n
-        for j2, w in cy[j]:
-            key = (i, j2, k)
-            out[key] = get(key, 0) + w * n
-        for k2, w in cz[k]:
-            key = (i, j, k2)
-            out[key] = get(key, 0) + w * n
-    scale = dm * dt
-    return Tensor(t.shape, {key: Fraction(s, scale) for key, s in out.items() if s})
+    """Leibniz action: sum of the three one-factor actions on every entry.
+    Row u of an axis matrix moves an entry's index on that axis to u, by the
+    matrix entry in the index's column."""
+    out: defaultdict[Triple, Fraction] = defaultdict(Fraction)
+    for idx, v in t.entries.items():
+        for axis, m in enumerate(elem.matrices()):
+            for u, row in enumerate(m):
+                if w := row[idx[axis]]:
+                    out[idx[:axis] + (u,) + idx[axis + 1 :]] += w * v
+    return Tensor(t.shape, out)
 
 
 def _action_rows(t: Tensor) -> tuple[list[linalg.SparseRow], int]:

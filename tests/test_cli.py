@@ -87,6 +87,13 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert main(["--help"]) == EXIT_OK and "usage:" in capsys.readouterr().out
 
 
+def test_unwritable_out_path_is_one_error_line_and_no_report(tmp_path, capsys):
+    code = main(["construct", "t-max", "3", "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+
+
 def test_group_without_leaf_names_its_leaves(capsys):
     for group, leaves in (
         ("symmetry", "{annihilator,propagate,class-dim,span-stabilizer}"),

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trisupport.core import (
@@ -20,7 +21,9 @@ from trisupport.core import (
     tensor_from_json,
     tensor_to_json,
 )
+from trisupport.arrangement import Arrangement
 from trisupport.constructions import matmul, m_one_sum, tight_max_support
+from trisupport.deciders import TightWitness
 from trisupport.sampling import generic_tensor_on, random_support
 
 
@@ -29,6 +32,25 @@ def test_shape_rejects_nonpositive():
         Shape(0, 1, 1)
     with pytest.raises(ShapeError):
         Shape(2, -1, 2)
+
+
+def test_index_constructors_take_integers_and_refuse_floats():
+    shape = Shape(2, 2, 2)
+    # each returns the first index it stored, given v
+    builders = (
+        lambda v: Support(shape, ((v, 1, 1),)).triples[0][0],
+        lambda v: next(iter(Tensor(shape, {(v, 1, 1): 1}).entries))[0],
+        lambda v: AxisPermutations((v, 0), (0, 1), (0, 1)).on_a[0],
+        lambda v: TightWitness((v, 0), (0, 1), (2, 3)).tau_a[0],
+        lambda v: Arrangement((v, 2), (0, 1), (0, 1)).xs[0],
+    )
+    for build in builders:
+        for good in (1, np.int64(1)):
+            assert build(good) == 1 and type(build(good)) is int
+        # a float is refused, not truncated to an index
+        for bad in (0.9, 1.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                build(bad)
 
 
 def test_support_canonicalizes_and_validates():

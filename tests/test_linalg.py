@@ -17,7 +17,7 @@ from trisupport.core import Shape, direct_sum, kronecker
 from trisupport.deciders import decide_tight
 from trisupport.linalg import PRIME, Echelon, modular_nullspace, nullspace
 from trisupport.sampling import generic_tensor_on, random_concise_tensor, random_support
-from trisupport.symmetry import LieElement, _action_rows, annihilator, lie_apply, tensor_flattening_rows
+from trisupport.symmetry import LieElement, _action_rows, _integer_entries, annihilator, lie_apply, tensor_flattening_rows
 
 
 def _random_system(rng, nrows, ncols, bound):
@@ -381,18 +381,6 @@ def test_injective_combination_sweep_matches_fraction_oracle(monkeypatch):
     assert swept >= 50
 
 
-def _dense_lie_apply(elem, t):
-    """The Leibniz action looping over every matrix entry."""
-    out = {}
-    for (i, j, k), v in t.entries.items():
-        for axis, m in enumerate(elem.matrices()):
-            idx = (i, j, k)
-            for u in range(len(m)):
-                key = idx[:axis] + (u,) + idx[axis + 1 :]
-                out[key] = out.get(key, Fraction(0)) + m[u][idx[axis]] * v
-    return {key: v for key, v in out.items() if v}
-
-
 def _random_matrix(rng, n):
     return tuple(
         tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.5 else Fraction(0) for _ in range(n))
@@ -406,4 +394,12 @@ def test_lie_apply_matches_dense_reference(shape):
     for _ in range(10):
         t = generic_tensor_on(random_support(rng, Shape(*shape), 0.5), rng).scaled(Fraction(1, rng.randint(1, 6)))
         elem = LieElement(*(_random_matrix(rng, n) for n in shape))
-        assert lie_apply(elem, t).entries == _dense_lie_apply(elem, t)
+        # the solver's rows, one per reachable triple in lexicographic order,
+        # applied to the element flattened row-major (X, Y, Z)
+        rows, ncols = _action_rows(t)
+        vec = [v for m in elem.matrices() for row in m for v in row]
+        reached = sorted({idx[:d] + (u,) + idx[d + 1 :] for idx in t.entries for d in range(3) for u in range(shape[d])})
+        assert len(vec) == ncols and len(rows) == len(reached)
+        den = _integer_entries(t)[1]
+        applied = {key: sum(c * vec[col] for col, c in row.items()) / den for key, row in zip(reached, rows)}
+        assert lie_apply(elem, t).entries == {key: v for key, v in applied.items() if v}

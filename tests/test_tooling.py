@@ -3,10 +3,10 @@ so a name it lists that the library no longer has breaks `--trace 1`, and it
 forwards only `(rows, ncols)` to the `linalg` functions it wraps; a
 library change that breaks one of the benchmark's answer checks fails its
 self-test; importing the package builds no census table; every name in its
-`__all__` resolves; the README's CLI block shows every leaf command; the
-values the README quotes for `SWITCH`, `CAP_TOL`, `TABLE_MAX_BITS` and `PRIME`
-are the library's; and `certify` and the test oracles import nothing that
-they check."""
+`__all__` resolves; the README's CLI block shows every leaf command and its
+module table has a row for every module; the values the README quotes for
+`SWITCH`, `CAP_TOL`, `TABLE_MAX_BITS` and `PRIME` are the library's; and
+`certify` and the test oracles import nothing that they check."""
 
 import argparse
 import ast
@@ -91,6 +91,13 @@ def test_readme_cli_block_shows_every_leaf_command():
     assert ("decide", "free") in leaves and ("symmetry", "span-stabilizer") in leaves
     for leaf in leaves:
         assert any(tuple(words[: len(leaf)]) == leaf for words in shown), " ".join(leaf)
+
+
+def test_readme_table_has_a_row_for_every_module():
+    section = (ROOT / "README.md").read_text().split("\n## What is inside\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `trisupport\.(\w+)` \|", section, re.MULTILINE))
+    modules = {path.stem for path in (ROOT / "src" / "trisupport").glob("*.py") if not path.stem.startswith("__")}
+    assert modules <= rows, sorted(modules - rows)
 
 
 def test_readme_states_the_solver_switch():
