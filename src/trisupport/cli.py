@@ -54,7 +54,7 @@ from .core import (
 )
 from .deciders import DEFAULT_BUDGET, TightWitness, census_m3, decide_oblique, decide_tight, is_free, max_oblique_size
 from .sampling import generic_tensor_on, random_concise_tensor, random_support
-from .spectral import SpectralWeights, ZetaUnconverged, zeta, zeta_full, zeta_min_over_axis_orders
+from .spectral import SpectralWeights, ZetaUnconverged, zeta_full, zeta_min_over_axis_orders
 from .symmetry import annihilator, check_propagation, class_dimension, span_stabilizer_dim
 
 EXIT_OK = 0
@@ -365,9 +365,9 @@ def _support_functional_criterion(seed: int) -> dict:
     uniform = SpectralWeights.uniform()
     for r in range(1, 6):
         for theta in (uniform, SpectralWeights(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), SpectralWeights(1, 0, 0)):
-            value = zeta(m_one_sum(r).support(), theta)
+            value = zeta_full(m_one_sum(r).support(), theta).value
             _require(abs(value - r) <= 1e-6, f"zeta of m1-sum({r}) at {theta} is {value}, expected {r}")
-    two_point = zeta(Support(Shape(2, 2, 2), ((0, 0, 0), (1, 1, 0))), uniform)
+    two_point = zeta_full(Support(Shape(2, 2, 2), ((0, 0, 0), (1, 1, 0))), uniform).value
     _require(abs(two_point - 2 ** (2 / 3)) <= 1e-4, f"two-point zeta is {two_point}, expected 2^(2/3)")
     return {"two_point": two_point}
 

@@ -12,6 +12,10 @@ integers.  Above TABLE_MAX_BITS that table is too large, and one search
 context per support (`_box_finder`) answers the size splits instead,
 skipping those with a zero part and settling dominated ones by one lookup in
 a reach table.
+
+The minimum slice cover branches over per-axis lists of slice bitmasks and
+prunes by a matching bound (slice-disjoint triples need a slice each), which
+cuts no subtree holding a smaller cover: the cover returned is unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class ZeroBox:
 
     def avoids(self, s: Support) -> bool:
         i_set, j_set, k_set = set(self.i_set), set(self.j_set), set(self.k_set)
-        return not any(i in i_set and j in j_set and k in k_set for i, j, k in s.triples)
+        return not [t for t in s.triples if t[0] in i_set and t[1] in j_set and t[2] in k_set]
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,10 @@ class SliceCover:
         return len(self.slices)
 
     def covers(self, s: Support) -> bool:
-        chosen = set(self.slices)
-        return all(
-            any((axis, t[axis]) in chosen for axis in range(3)) for t in s.triples
-        )
+        c0, c1, c2 = chosen = (set(), set(), set())
+        for axis, v in self.slices:
+            chosen[axis].add(v)
+        return not [t for t in s.triples if t[0] not in c0 and t[1] not in c1 and t[2] not in c2]
 
 
 def _first_subset(cands: list[int], w: int, acc, extend: Callable, finish: Callable):
@@ -308,27 +312,38 @@ def _multicompressibility_search(s: Support) -> int:
 def slice_cover(s: Support) -> SliceCover:
     """Minimum cover of the support by axis slices, by exact branch and bound.
 
-    Every triple lies in exactly three slices, so branching on an uncovered
-    triple has factor three; a greedy cover seeds the upper bound.  Sets of
-    triples are bitmasks over their positions in the support.
+    Sets of triples are bitmasks over their positions in the support, and
+    masks[axis][v] is the set that slice (axis, v) covers.  The greedy seed
+    takes, at each step, the first slice in (axis, index) order that covers
+    the most.  Branching is on the first uncovered triple's three slices; a
+    node is pruned once the slices chosen plus a matching of its uncovered
+    triples (taken lowest first, each removing its conflict mask) reach the
+    best.  That prunes no strictly smaller cover, and only one replaces the
+    best, so the bound changes the work and not the cover returned.
     """
-    triples = list(s.triples)
+    triples = s.triples
     if not triples:
         return SliceCover(())
-    slices: dict[tuple[int, int], int] = {}
-    for idx, t in enumerate(triples):
-        for axis in range(3):
-            slices[axis, t[axis]] = slices.get((axis, t[axis]), 0) | 1 << idx
+    masks = m0, m1, m2 = [[0] * n for n in s.shape]
+    for idx, (i, j, k) in enumerate(triples):
+        bit = 1 << idx
+        m0[i] |= bit
+        m1[j] |= bit
+        m2[k] |= bit
+    conflict = [m0[i] | m1[j] | m2[k] for i, j, k in triples]
+    nonempty = [((axis, v), m) for axis, row in enumerate(masks) for v, m in enumerate(row) if m]
 
-    # greedy upper bound
     uncovered = (1 << len(triples)) - 1
     greedy: list[tuple[int, int]] = []
     while uncovered:
-        sl = max(sorted(slices), key=lambda key: (slices[key] & uncovered).bit_count())
-        greedy.append(sl)
-        uncovered &= ~slices[sl]
+        top = 0
+        for key, m in nonempty:
+            n = (m & uncovered).bit_count()
+            if n > top:
+                top, pick, covered = n, key, m
+        greedy.append(pick)
+        uncovered &= ~covered
     best: list[tuple[int, int]] = sorted(greedy)
-    max_cover = max(v.bit_count() for v in slices.values())
 
     def dfs(uncov: int, chosen: list[tuple[int, int]]) -> None:
         nonlocal best
@@ -336,14 +351,16 @@ def slice_cover(s: Support) -> SliceCover:
             if len(chosen) < len(best):
                 best = sorted(chosen)
             return
-        lower = len(chosen) + -(-uncov.bit_count() // max_cover)
+        lower, rest = len(chosen), uncov
+        while rest and lower < len(best):
+            lower += 1
+            rest &= ~conflict[(rest & -rest).bit_length() - 1]
         if lower >= len(best):
             return
         t = triples[(uncov & -uncov).bit_length() - 1]
         for axis in range(3):
-            key = (axis, t[axis])
-            chosen.append(key)
-            dfs(uncov & ~slices[key], chosen)
+            chosen.append((axis, t[axis]))
+            dfs(uncov & ~masks[axis][t[axis]], chosen)
             chosen.pop()
 
     dfs((1 << len(triples)) - 1, [])

@@ -284,10 +284,6 @@ def _newton_finish(
             mu = max(mu / 10.0, 1e-16)
 
 
-def zeta(s: Support, weights: SpectralWeights) -> float:
-    return zeta_full(s, weights).value
-
-
 @dataclass(frozen=True)
 class OrderMinResult:
     status: str  # "ok" or "unknown"
