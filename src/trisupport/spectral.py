@@ -6,7 +6,11 @@ The maximization is a concave program over a simplex, solved by exponentiated
 gradient ascent with a monotonicity safeguard, each step starting from the last
 accepted one; the linearization (Frank-Wolfe) gap, or the distance to the
 entropy cap over the rows the set reaches, certifies closeness to the
-optimum.  The ascent runs at most SWITCH steps; one still
+optimum.  When the set reaches the same number r of rows on all three axes,
+a bounded search first looks for r of its points that are pairwise distinct
+on every axis: the uniform distribution on them has uniform marginals, so it
+meets the cap, which no distribution exceeds, and answers after no step.
+Otherwise the ascent runs at most SWITCH steps; one still
 unconverged then, typically one whose optimum lies on the boundary of the
 simplex, ends with a log-barrier Newton finish whose linear systems live in
 the space of the a+b+c marginals, which stops once the same certificate gap
@@ -42,6 +46,8 @@ SWITCH = 20
 CAP_TOL = 1e-8
 # Newton steps the finish takes at most
 NEWTON_STEPS = 200
+# points the perfect-matching search of zeta_full may try, per point of the set
+_MATCH_NODES = 2
 # largest axis size zeta_min_over_axis_orders searches: (4!)^3 = 13,824 orders
 ORDER_MAX_DIM = 4
 
@@ -120,7 +126,12 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     incompressibility set and return 2**maximum with a certificate gap of the
     returned distribution itself: its Frank-Wolfe gap, or its distance to the
     entropy cap (the weighted log2 of the rows reached on each axis) when that
-    is below CAP_TOL and smaller.  From the uniform point, the
+    is below CAP_TOL and smaller.  When the uniform point's gap is at or
+    above 1e-6 and the set reaches r rows on each axis, a perfect matching of
+    it (r points pairwise distinct on every axis, found by `_perfect_matching`
+    within _MATCH_NODES tries per point) gives mass 1/r to each of its
+    points; that point meets the cap and answers after no step when its own
+    gap is below 1e-6.  Otherwise, from the uniform point, the
     exponentiated-gradient ascent steps while that gap is at or above 1e-6,
     each step starting at the larger of the base schedule and the last
     accepted step, for at most SWITCH steps; a set that is the whole grid is
@@ -144,7 +155,8 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     each_point = np.arange(3 * n) % n
     row_theta = np.repeat(theta, sizes)
     # H(q_d) <= log2 of the rows reached on axis d; Phi is downward closed, so those are max + 1
-    cap = sum(th * math.log2(r) for th, r in zip(theta, (coords.max(axis=0) + 1).tolist()) if th > 0)
+    reached = (coords.max(axis=0) + 1).tolist()
+    cap = sum(th * math.log2(r) for th, r in zip(theta, reached) if th > 0)
 
     def evaluate(vec: np.ndarray) -> tuple[np.ndarray, float]:
         """Logs of all marginals of vec (floored, so 0 log 0 = 0) and the
@@ -163,6 +175,16 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
     p = np.full(n, 1.0 / n)
     logq, f = evaluate(p)
     g, gap = gap_at(p, logq, f)
+    if gap >= 1e-6 and reached[0] == reached[1] == reached[2]:
+        matching = _perfect_matching(coords, reached[0], _MATCH_NODES * n)
+        if matching is not None:
+            # uniform marginals on every axis: the entropy cap itself
+            cand = np.zeros(n)
+            cand[matching] = 1.0 / reached[0]
+            cand_logq, cand_f = evaluate(cand)
+            cand_g, cand_gap = gap_at(cand, cand_logq, cand_f)
+            if cand_gap < 1e-6:
+                p, logq, f, g, gap = cand, cand_logq, cand_f, cand_g, cand_gap
     iterations = 0
     step = 0.0
 
@@ -211,6 +233,41 @@ def zeta_full(s: Support, weights: SpectralWeights) -> ZetaResult:
         iterations=iterations,
         distribution=dist,
     )
+
+
+def _perfect_matching(coords: np.ndarray, r: int, budget: int) -> Optional[list[int]]:
+    """Indices of r points of the sorted array coords, whose rows lie below r,
+    that are pairwise distinct on every axis.  A depth-first search takes the
+    first-axis rows scarcest first and each row's points highest first (a
+    downward-closed set keeps its low rows for later), holding the second- and
+    third-axis rows taken as bitmasks.  None when there is no such set or the
+    search tries more than `budget` points."""
+    # coords are sorted, so first-axis row i is the slice bounds[i]:bounds[i + 1]
+    bounds = np.searchsorted(coords[:, 0], np.arange(r + 1)).tolist()
+    order = sorted(range(r), key=lambda i: bounds[i + 1] - bounds[i])
+    chosen: list[int] = []
+    tried = 0
+
+    def extend(used_j: int, used_k: int) -> Optional[bool]:
+        """Whether the rows from len(chosen) on can be matched; None once the budget is spent."""
+        nonlocal tried
+        if len(chosen) == r:
+            return True
+        row = order[len(chosen)]
+        lo, hi = bounds[row], bounds[row + 1]
+        for x, (j, k) in zip(range(hi - 1, lo - 1, -1), coords[lo:hi, 1:][::-1].tolist()):
+            tried += 1
+            if tried > budget:
+                return None
+            if not (used_j >> j & 1 or used_k >> k & 1):
+                chosen.append(x)
+                found = extend(used_j | 1 << j, used_k | 1 << k)
+                if found is not False:
+                    return found
+                chosen.pop()
+        return False
+
+    return chosen if extend(0, 0) else None
 
 
 def _newton_finish(

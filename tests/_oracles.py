@@ -14,7 +14,8 @@ dense Fraction Gauss-Jordan elimination from the highest column down, the
 injective-combination oracle combines Fractions pairwise where
 trisupport.linalg hashes integer columns, the functional oracle is a simplex
 grid sweep, the functional's certificate is recomputed from its distribution
-in plain Python over the oracle's own dominated set, and the cube census
+in plain Python over the oracle's own dominated set, a perfect matching of
+that set is checked point by point against it, and the cube census
 oracle reads maximal antichains off plane partitions and groups them by
 sorted triple tuples, where trisupport.deciders runs Bron-Kerbosch on
 bitmasks.
@@ -507,6 +508,20 @@ def oracle_zeta_certificate(
     dominated = oracle_incompr_set(s)
     cap = sum(th * math.log2(len({t[axis] for t in dominated})) for axis, th in enumerate(theta) if th > 0)
     return value, max(0.0, min(frank_wolfe, cap - value) if cap - value < 1e-8 else frank_wolfe)
+
+
+def oracle_is_perfect_matching(s: Support, probs: dict[Triple, float]) -> bool:
+    """Whether the triples of positive probability are a perfect matching of
+    the dominated set: members of it, pairwise distinct on every axis, and as
+    many as the values the dominated set takes on each axis."""
+    dominated = set(oracle_incompr_set(s))
+    points = [t for t, p in probs.items() if p > 0]
+    rows = [len({t[axis] for t in dominated}) for axis in range(3)]
+    return (
+        set(points) <= dominated
+        and all(len({t[axis] for t in points}) == len(points) for axis in range(3))
+        and rows == [len(points)] * 3
+    )
 
 
 def downward_closed_sets(max_size: int) -> list[tuple[Triple, ...]]:

@@ -10,6 +10,7 @@ import pytest
 from _oracles import (
     downward_closed_sets,
     oracle_incompr_set,
+    oracle_is_perfect_matching,
     oracle_zeta_certificate,
     oracle_zeta_frank_wolfe,
     oracle_zeta_grid,
@@ -97,16 +98,64 @@ def test_zeta_gap_is_not_negative_where_rounding_gives_below_zero():
 
 
 @pytest.mark.parametrize("shape", [Shape(2, 2, 2), Shape(3, 3, 3), Shape(2, 3, 4)], ids=["2x2x2", "3x3x3", "2x3x4"])
-def test_zeta_stops_at_the_entropy_cap_over_the_rows_reached(shape):
+def test_zeta_stops_at_the_entropy_cap_over_the_rows_reached(monkeypatch, shape):
     # the optimum, log2 = 1, meets the cap over the two rows reached on each
-    # axis, whatever the shape; the distance to it is below 1e-8 after two
-    # steps, while the Frank-Wolfe gap is still above 1e-4
+    # axis, whatever the shape; a perfect matching of the set reaches it before any step
     s = Support(shape, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    res = zeta_full(s, UNIFORM)
+    assert res.iterations == 0 and res.gap == 0.0 and abs(res.log2_value - 1) <= 1e-12
+    assert oracle_is_perfect_matching(s, res.distribution.probs)
+    assert set(res.distribution.probs.values()) == {0.5}
+    # without the matching search, the distance to the cap is below 1e-8
+    # after two steps, while the Frank-Wolfe gap is still above 1e-4
+    monkeypatch.setattr(spectral, "_MATCH_NODES", 0)
     res = zeta_full(s, UNIFORM)
     assert res.iterations <= 2 and res.gap == 1 - res.log2_value < 1e-8
     value, frank_wolfe = oracle_zeta_frank_wolfe(s, UNIFORM.as_floats(), res.distribution.probs)
     assert abs(value - res.log2_value) <= 1e-12 and frank_wolfe > 1e-4
     assert abs(oracle_zeta_certificate(s, UNIFORM.as_floats(), res.distribution.probs)[1] - res.gap) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [UNIFORM, SKEWED, POINTED, HALVES], ids=["uniform", "skewed", "pointed", "halves"])
+def test_zeta_of_a_reordered_unit_tensor_is_its_rank_after_no_step(theta):
+    # the unit tensor <r> has zeta r at every theta; under axis orders that
+    # leave its set short of the whole grid, a perfect matching of the set
+    # certifies the cap log2 r before any ascent step
+    rng = random.Random(53)
+    checked = 0
+    for r in (2, 3, 4, 5, 6, 8):
+        for _ in range(4):
+            orders = AxisPermutations(*(tuple(rng.sample(range(r), r)) for _ in range(3)))
+            s = apply_permutations(m_one_sum(r).support(), orders)
+            if len(incompr_set(s)) == r**3:
+                continue
+            checked += 1
+            res = zeta_full(s, theta)
+            assert res.iterations == 0 and abs(res.log2_value - math.log2(r)) <= 1e-12, (s.triples, res)
+            assert 0 <= res.gap < 1e-6 and oracle_is_perfect_matching(s, res.distribution.probs), s.triples
+    assert checked >= 20
+
+
+def test_zeta_without_the_matching_search_is_the_ascent(monkeypatch):
+    # a budget of 0 gives up at the first point tried, so every answer is the
+    # ascent's, as with no search at all; these 16 ascents take 192 steps
+    rng = random.Random(54)
+    drawn = [random_support(rng, Shape(m, m, m), rng.uniform(0.2, 0.5)) for m in (2, 3, 3, 4, 4, 5)]
+    reordered = apply_permutations(m_one_sum(3).support(), AxisPermutations((2, 1, 0), (0, 1, 2), (1, 0, 2)))
+    drawn += [tight_max_support(3)[0], reordered]
+    matched, steps = 0, 0
+    for s in drawn:
+        for weights in (UNIFORM, SKEWED):
+            res = zeta_full(s, weights)
+            with monkeypatch.context() as patched:
+                patched.setattr(spectral, "_MATCH_NODES", 0)
+                ascent = zeta_full(s, weights)
+                patched.setattr(spectral, "_perfect_matching", lambda *_: None)
+                assert zeta_full(s, weights) == ascent
+            matched += res != ascent
+            steps += ascent.iterations
+            assert abs(res.log2_value - ascent.log2_value) <= res.gap + ascent.gap + 1e-12, s.triples
+    assert steps == 192 and matched >= 4
 
 
 def test_zeta_two_point_value():
@@ -289,6 +338,16 @@ def test_zeta_min_invariant_under_relabelling_and_axis_swap(s, weights):
 SLOW = Support(Shape(3, 3, 3), ((0, 0, 2), (1, 0, 0), (1, 2, 0), (2, 0, 1)))
 
 
+def test_zeta_with_equal_rows_reached_but_no_matching_runs_the_ascent():
+    # SLOW reaches three rows on every axis, but its first-axis rows 0 and 2
+    # both lie on second-axis row 0, so no three of its points are distinct on every axis
+    assert (incompr_set(SLOW).max(axis=0) + 1).tolist() == [3, 3, 3]
+    triples = itertools.combinations(map(tuple, incompr_set(SLOW).tolist()), 3)
+    assert not any(oracle_is_perfect_matching(SLOW, dict.fromkeys(three, 1 / 3)) for three in triples)
+    res = zeta_full(SLOW, UNIFORM)
+    assert res.iterations > spectral.SWITCH and res.gap < 1e-6
+
+
 def test_zeta_full_raises_when_the_finish_is_refused(monkeypatch, tmp_path, capsys):
     assert zeta_full(SLOW, UNIFORM).iterations > spectral.SWITCH
     with monkeypatch.context() as patched:
@@ -328,6 +387,9 @@ def test_zeta_full_keeps_a_certified_newton_point_with_a_lower_objective(monkeyp
 def test_newton_finish_sweep_is_certified():
     rng = random.Random(50)
     drawn = [random_support(rng, Shape(m, m, m), rng.uniform(0.2, 0.5)) for m in [3] * 6 + [4] * 3]
+    # a perfect matching answers most cubic draws at the cap, so the sweep also
+    # takes 2x3x4 draws, whose axes as a rule reach different numbers of rows
+    drawn += [random_support(rng, Shape(2, 3, 4), rng.uniform(0.2, 0.5)) for _ in range(4)]
     finished = 0
     for s in (s for s in drawn if s.triples):
         # a distribution on a closure is one on every closure containing it, so
@@ -383,8 +445,13 @@ def test_newton_finish_cuts_the_slow_order_minimum(monkeypatch, weights):
 
 @pytest.mark.parametrize(
     "s, weights",
-    [(oblique_not_tight_4().support(), UNIFORM), (tight_max_support(3)[0], SKEWED), (m_one_sum(3).support(), UNIFORM)],
-    ids=["not-tight-4", "t-max(3)", "m1-sum(3)"],
+    [
+        (oblique_not_tight_4().support(), UNIFORM),
+        (tight_max_support(3)[0], SKEWED),
+        (m_one_sum(3).support(), UNIFORM),
+        (SLOW, UNIFORM),
+    ],
+    ids=["not-tight-4", "t-max(3)", "m1-sum(3)", "slow"],
 )
 def test_singular_newton_solve_is_unknown_only_after_a_slow_ascent(monkeypatch, s, weights):
     plain = zeta_full(s, weights)

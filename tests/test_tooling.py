@@ -5,8 +5,8 @@ library change that breaks one of the benchmark's answer checks fails its
 self-test; importing the package builds no census table; every name in its
 `__all__` resolves; the README's CLI block shows every leaf command and its
 module table has a row for every module; the values the README quotes for
-`SWITCH`, `CAP_TOL`, `TABLE_MAX_BITS` and `PRIME` are the library's; and
-`certify` and the test oracles import nothing that they check."""
+`SWITCH`, `CAP_TOL`, `_MATCH_NODES`, `TABLE_MAX_BITS` and `PRIME` are the
+library's; and `certify` and the test oracles import nothing that they check."""
 
 import argparse
 import ast
@@ -109,6 +109,7 @@ def test_readme_states_the_library_constants():
     readme = (ROOT / "README.md").read_text()
     quoted = [
         (spectral.CAP_TOL, [float(v) for v in re.findall(r"`CAP_TOL` = ([\d.e-]+)", readme)]),
+        (spectral._MATCH_NODES, [int(v) for v in re.findall(r"`_MATCH_NODES` = (\d+)", readme)]),
         (compress.TABLE_MAX_BITS, [int(v) for v in re.findall(r"`TABLE_MAX_BITS` = (\d+)", readme)]),
         (linalg.PRIME, [2 ** int(e) - int(d) for e, d in re.findall(r"`PRIME` = 2\^(\d+) − (\d+)", readme)]),
     ]
